@@ -62,7 +62,7 @@ struct GslStudyResult {
 /// measures the sequential baseline and the parallel engine; results are
 /// identical at every thread count for a fixed seed.
 /// \p Prune, when non-empty, selects the static pre-pass mode
-/// ("off" | "sites" | "sites+box") exactly as `wdm --prune=` would.
+/// ("off" | "sites") exactly as `wdm --prune=` would.
 GslStudyResult runGslStudy(const std::string &BuiltinName, uint64_t Seed,
                            const std::vector<std::vector<double>> &
                                ExtraProbes = {},

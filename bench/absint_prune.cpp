@@ -2,9 +2,8 @@
 //
 // Part of the wdm project (PLDI 2019 weak-distance minimization repro).
 //
-// The absint pre-pass (--prune=sites+box) retires statically-proved
-// sites before fpod spends its first eval and shrinks the start box to
-// the statically feasible slice. This bench runs the Section 6.3 GSL
+// The absint pre-pass (--prune=sites) retires statically-proved sites
+// before fpod spends its first eval. This bench runs the Section 6.3 GSL
 // study (bessel, hyperg, airy) with the pre-pass off and on at the same
 // seed and reports, per subject: total evals, evals to the first
 // verified finding, wall-clock, and the pre-pass's own cost.
@@ -25,7 +24,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "GslStudy.h"
-#include "bench_json.h"
+#include "support/Json.h"
 
 #include <chrono>
 #include <cstdlib>
@@ -85,12 +84,12 @@ int main() {
   const uint64_t Seed = 7;
   const std::vector<std::string> Subjects = {"bessel", "hyperg", "airy"};
 
-  BenchJson Json("absint_prune");
+  json::BenchJson Json("absint_prune");
   bool AllIdentical = true;
 
   for (const std::string &Name : Subjects) {
     Measured Off = run(Name, Seed, "off");
-    Measured On = run(Name, Seed, "sites+box");
+    Measured On = run(Name, Seed, "sites");
 
     auto SetOff = findingSet(Off.Study.Report);
     auto SetOn = findingSet(On.Study.Report);
@@ -119,7 +118,6 @@ int main() {
         .field("sites_pruned", static_cast<uint64_t>(St.SitesPruned))
         .field("sites_proved_safe",
                static_cast<uint64_t>(St.SitesProvedSafe))
-        .field("box_shrunk", St.BoxShrunk ? 1.0 : 0.0)
         .field("findings", static_cast<uint64_t>(SetOff.size()))
         .field("inconsistencies_off",
                static_cast<uint64_t>(Off.Study.Distinct.size()))
@@ -132,8 +130,8 @@ int main() {
               << ", first finding @ " << Off.EvalsToFirst << " -> "
               << On.EvalsToFirst << ", wall " << Off.Wall << "s -> "
               << On.Wall << "s (pre-pass " << St.Seconds << "s, pruned "
-              << St.SitesPruned << "/" << St.SitesTotal << " sites"
-              << (St.BoxShrunk ? ", box shrunk" : "") << "), findings "
+              << St.SitesPruned << "/" << St.SitesTotal
+              << " sites), findings "
               << (Identical ? "identical" : "DIVERGED") << "\n";
 
     if (!Identical) {
@@ -156,7 +154,7 @@ int main() {
                  "findings exist (see above)\n";
     return 1;
   }
-  std::cout << "absint_prune: ok (findings identical off vs sites+box "
-               "on all subjects)\n";
+  std::cout << "absint_prune: ok (findings identical off vs sites on "
+               "all subjects)\n";
   return 0;
 }

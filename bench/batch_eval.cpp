@@ -17,12 +17,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyses/BoundaryAnalysis.h"
-#include "bench_json.h"
 #include "gsl/Bessel.h"
 #include "instrument/OverflowPass.h"
 #include "opt/DifferentialEvolution.h"
 #include "subjects/Fig2.h"
 #include "support/FPUtils.h"
+#include "support/Json.h"
 #include "vm/VMWeakDistance.h"
 
 #include <chrono>
@@ -149,7 +149,7 @@ int main(int argc, char **argv) {
       Reps = static_cast<unsigned>(std::strtoul(argv[I] + 7, nullptr, 0));
   }
 
-  bench::BenchJson Json("batch_eval");
+  json::BenchJson Json("batch_eval");
   bool AllIdentical = true;
   double Fig2Speedup = 0;
 

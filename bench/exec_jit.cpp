@@ -18,7 +18,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "bench_json.h"
 #include "gsl/Bessel.h"
 #include "instrument/BoundaryPass.h"
 #include "jit/JITCompile.h"
@@ -26,6 +25,7 @@
 #include "subjects/Fig2.h"
 #include "subjects/SinModel.h"
 #include "support/FPUtils.h"
+#include "support/Json.h"
 #include "vm/Lowering.h"
 #include "vm/Machine.h"
 #include "vm/VMWeakDistance.h"
@@ -305,7 +305,7 @@ int main(int argc, char **argv) {
   std::string FallbackReason;
   Kernels.push_back(benchBoundaryKernel(N, Reps, FallbackReason));
 
-  bench::BenchJson Json("exec_jit");
+  json::BenchJson Json("exec_jit");
   Json.field("jit_available",
              std::string(jit::available() ? "yes" : "no"));
   if (!jit::available())

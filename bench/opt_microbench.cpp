@@ -17,7 +17,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyses/BoundaryAnalysis.h"
-#include "bench_json.h"
 #include "gsl/Bessel.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
@@ -28,6 +27,7 @@
 #include "sat/Solver.h"
 #include "subjects/Fig2.h"
 #include "subjects/SinModel.h"
+#include "support/Json.h"
 #include "vm/Lowering.h"
 #include "vm/Machine.h"
 #include "vm/VMWeakDistance.h"
@@ -265,7 +265,7 @@ BENCHMARK(BM_CnfDistanceEval);
 /// paths is machine-readable without parsing console output.
 class JsonMirrorReporter : public benchmark::ConsoleReporter {
 public:
-  explicit JsonMirrorReporter(wdm::bench::BenchJson &Json) : Json(Json) {}
+  explicit JsonMirrorReporter(wdm::json::BenchJson &Json) : Json(Json) {}
 
   void ReportRuns(const std::vector<Run> &Runs) override {
     for (const Run &R : Runs) {
@@ -290,7 +290,7 @@ public:
   }
 
 private:
-  wdm::bench::BenchJson &Json;
+  wdm::json::BenchJson &Json;
   std::map<std::string, double> Rates;
 };
 
@@ -338,7 +338,7 @@ int main(int argc, char **argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv))
     return 1;
-  wdm::bench::BenchJson Json("opt_microbench");
+  wdm::json::BenchJson Json("opt_microbench");
   JsonMirrorReporter Console(Json);
   benchmark::RunSpecifiedBenchmarks(&Console);
   benchmark::Shutdown();
@@ -346,7 +346,7 @@ int main(int argc, char **argv) {
     std::cerr << "warning: could not write BENCH_opt_microbench.json\n";
 
   // The engine-vs-engine perf trajectory: evals/sec per kernel per tier.
-  wdm::bench::BenchJson VmJson("exec_vm");
+  wdm::json::BenchJson VmJson("exec_vm");
   unsigned PairsMeasured = 0, VmWins = 0;
   double BestSpeedup = 0;
   for (const EnginePair &P : EnginePairs) {
@@ -395,7 +395,7 @@ int main(int argc, char **argv) {
     if (HookRate > 0 && EvalRate > 0) {
       double HookFrac = EvalRate / HookRate; // (s/hook) / (s/eval)
       double SpanFrac = SpanRate > 0 ? EvalRate / SpanRate : 0.0;
-      wdm::bench::BenchJson ObsJson("obs_overhead");
+      wdm::json::BenchJson ObsJson("obs_overhead");
       ObsJson.entry("count_hook_disabled")
           .field("hook_ns", 1e9 / HookRate)
           .field("eval_ns", 1e9 / EvalRate)

@@ -24,10 +24,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "bench_json.h"
 #include "serve/Client.h"
 #include "serve/Http.h"
 #include "serve/Server.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <chrono>
@@ -199,7 +199,7 @@ int main(int argc, char **argv) {
   double WarmSpeedup = Warm.P50Ms > 0 ? Cold.P50Ms / Warm.P50Ms : 0;
   double HitSpeedup = Hit.P50Ms > 0 ? Cold.P50Ms / Hit.P50Ms : 0;
 
-  bench::BenchJson Json("serve_latency");
+  json::BenchJson Json("serve_latency");
   Json.field("spec", std::string("fig2 boundary (product form)"));
   Json.entry("cold")
       .field("p50_ms", Cold.P50Ms)

@@ -17,8 +17,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "GslStudy.h"
-#include "bench_json.h"
 #include "gsl/Airy.h"
+#include "support/Json.h"
 #include "support/StringUtils.h"
 #include "support/TableWriter.h"
 
@@ -32,7 +32,7 @@ int main() {
                "detection ==\n\n";
 
   Table T({"benchmark", "|Op|", "|O|", "|I|", "|B|", "T(sec)"});
-  BenchJson Json("table3_gsl_summary");
+  json::BenchJson Json("table3_gsl_summary");
   Json.field("threads_option", static_cast<uint64_t>(gslStudyThreads()));
   Json.field("starts_per_round",
              static_cast<uint64_t>(gslStudyStartsPerRound()));

@@ -16,7 +16,8 @@
 ///    objective (api/tasks/, Report's "static" section);
 ///  - start-box shrinking: shrinkStartBox() probes per-dimension segments
 ///    of the start box and keeps only those from which a target site is
-///    still feasible;
+///    still feasible. No task adapter uses it (the start box is the
+///    spec's); only e2ebench's layer replay still times it;
 ///  - bytecode verification: vm::verifyBytecode (vm/Verify.h) reuses the
 ///    same "static facts as certificates" discipline on lowered code.
 ///

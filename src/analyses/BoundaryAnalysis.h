@@ -17,7 +17,7 @@
 #ifndef WDM_ANALYSES_BOUNDARYANALYSIS_H
 #define WDM_ANALYSES_BOUNDARYANALYSIS_H
 
-#include "core/Reduction.h"
+#include "core/SearchEngine.h"
 #include "instrument/BoundaryPass.h"
 #include "instrument/IRWeakDistance.h"
 #include "instrument/Observers.h"
@@ -59,9 +59,9 @@ public:
   /// One-shot Algorithm 2, run on the shared SearchEngine; honors every
   /// SearchOptions knob including Threads and Portfolio (workers mint
   /// their own interpreter contexts through the factory seam).
-  core::ReductionResult findOne(opt::Optimizer &Backend,
-                                const core::ReductionOptions &Opts,
-                                opt::SampleRecorder *Recorder = nullptr);
+  core::SearchResult findOne(opt::Optimizer &Backend,
+                             const core::SearchOptions &Opts,
+                             opt::SampleRecorder *Recorder = nullptr);
 
   /// The factory the engine mints thread-local evaluators from.
   core::WeakDistanceFactory &factory() { return *Factory.Factory; }

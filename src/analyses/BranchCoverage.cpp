@@ -85,7 +85,7 @@ CoverageReport BranchCoverage::run(opt::Optimizer &Backend,
       WeakCtx->setSiteEnabled(Dir, false);
     }
 
-  core::ReductionOptions Reduce = Opts.Reduce;
+  core::SearchOptions Reduce = Opts.Reduce;
   unsigned Stall = 0;
   while (Stall < Opts.MaxStall) {
     // Any direction left?
@@ -99,7 +99,7 @@ CoverageReport BranchCoverage::run(opt::Optimizer &Backend,
     // evaluators minted this round all chase the same uncovered
     // directions.
     core::SearchEngine Engine(*Factory.Factory, Oracle.get());
-    core::ReductionResult R = Engine.solve(Backend, Reduce);
+    core::SearchResult R = Engine.solve(Backend, Reduce);
     Report.Evals += R.Evals;
     Reduce.Seed = Reduce.Seed * 6364136223846793005ull + 1ull;
 

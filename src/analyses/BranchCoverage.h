@@ -16,7 +16,7 @@
 #ifndef WDM_ANALYSES_BRANCHCOVERAGE_H
 #define WDM_ANALYSES_BRANCHCOVERAGE_H
 
-#include "core/Reduction.h"
+#include "core/SearchEngine.h"
 #include "instrument/CoveragePass.h"
 #include "instrument/IRWeakDistance.h"
 #include "instrument/Observers.h"
@@ -42,7 +42,7 @@ struct CoverageReport {
 class BranchCoverage {
 public:
   struct Options {
-    core::ReductionOptions Reduce;
+    core::SearchOptions Reduce;
     /// Stop after this many consecutive fruitless attempts.
     unsigned MaxStall = 3;
     /// Branch directions (site ids) the static pre-pass proved

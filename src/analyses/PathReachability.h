@@ -16,7 +16,7 @@
 #ifndef WDM_ANALYSES_PATHREACHABILITY_H
 #define WDM_ANALYSES_PATHREACHABILITY_H
 
-#include "core/Reduction.h"
+#include "core/SearchEngine.h"
 #include "instrument/IRWeakDistance.h"
 #include "instrument/Observers.h"
 #include "instrument/PathPass.h"
@@ -39,9 +39,9 @@ public:
   /// True if running the original program on \p X follows the path.
   bool follows(const std::vector<double> &X);
 
-  core::ReductionResult findOne(opt::Optimizer &Backend,
-                                const core::ReductionOptions &Opts,
-                                opt::SampleRecorder *Recorder = nullptr);
+  core::SearchResult findOne(opt::Optimizer &Backend,
+                             const core::SearchOptions &Opts,
+                             opt::SampleRecorder *Recorder = nullptr);
 
   /// Which execution tier search workers actually run on.
   const vm::FactoryBundle &executionTier() const { return Factory; }

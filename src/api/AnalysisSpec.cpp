@@ -63,7 +63,9 @@ const char *wdm::api::pruneModeName(PruneMode M) {
 bool wdm::api::pruneModeByName(const std::string &Name, PruneMode &Out) {
   for (PruneMode M : {PruneMode::Off, PruneMode::Sites, PruneMode::SitesBox}) {
     if (Name == pruneModeName(M)) {
-      Out = M;
+      // "sites+box" once also shrank the start box. Old specs and logs
+      // still say it, and it now means "sites".
+      Out = M == PruneMode::SitesBox ? PruneMode::Sites : M;
       return true;
     }
   }

@@ -60,11 +60,14 @@ const char *taskKindName(TaskKind K);
 /// Parses "boundary", "path", ...; false on unknown names.
 bool taskKindByName(const std::string &Name, TaskKind &Out);
 
-/// The static pre-pass modes (ISSUE: "search.prune").
+/// The static pre-pass modes ("search.prune"). Parsing never yields
+/// SitesBox: "sites+box" reads as Sites. The enumerator stays only
+/// because the benchmark's layer replay still names it.
 enum class PruneMode : uint8_t { Off, Sites, SitesBox };
 
 const char *pruneModeName(PruneMode M);
-/// Parses "off", "sites", "sites+box"; false on unknown names.
+/// Parses "off", "sites", and "sites+box" (as Sites); false on unknown
+/// names.
 bool pruneModeByName(const std::string &Name, PruneMode &Out);
 
 /// Where the subject module comes from. Builtin names resolve through
@@ -109,12 +112,12 @@ struct SearchConfig {
   /// and the Report says so via engine/engine_fallback. Ignored by
   /// fpsat, whose CNF distance is native code already.
   std::string Engine;
-  /// Static pre-pass (src/absint/): "off" | "sites" | "sites+box".
-  /// Empty = unset, which resolves to "off". "sites" classifies the
-  /// instrumented sites and drops proved ones from the search objective;
-  /// "sites+box" additionally shrinks the start box to the slices from
-  /// which a target is still feasible. Findings are never affected —
-  /// only where the eval budget goes.
+  /// Static pre-pass (src/absint/): "off" | "sites". Empty = unset,
+  /// which resolves to "off". "sites" classifies the instrumented sites
+  /// and drops proved ones from the search objective. Findings are
+  /// never affected — only where the eval budget goes. "sites+box" is
+  /// accepted and means "sites"; the text is kept as written, so spec
+  /// hashes do not change.
   std::string Prune;
 
   /// The resolved execution tier (unset and "vm" both map to VM).

@@ -70,10 +70,6 @@ json::Value Report::toJson() const {
     St.set("sites_pruned", Value::number(Static.SitesPruned));
     St.set("sites_proved_safe", Value::number(Static.SitesProvedSafe));
     St.set("seconds", Value::number(Static.Seconds));
-    if (Static.BoxShrunk)
-      St.set("box", Value::object()
-                        .set("lo", Value::number(Static.BoxLo))
-                        .set("hi", Value::number(Static.BoxHi)));
     Value Items = Value::array();
     for (const StaticItem &It : Static.Items) {
       Value Row = Value::object();
@@ -166,15 +162,6 @@ Expected<Report> Report::fromJson(const json::Value &V) {
       R.Static.SitesProvedSafe = static_cast<unsigned>(X->asUint());
     if (const Value *X = St->find("seconds"))
       R.Static.Seconds = X->asDouble();
-    if (const Value *B = St->find("box")) {
-      if (!B->isObject())
-        return E::error("report: 'static'.'box' must be an object");
-      R.Static.BoxShrunk = true;
-      if (const Value *X = B->find("lo"))
-        R.Static.BoxLo = X->asDouble();
-      if (const Value *X = B->find("hi"))
-        R.Static.BoxHi = X->asDouble();
-    }
     const Value *Items = St->find("items");
     if (Items && !Items->isArray())
       return E::error("report: 'static'.'items' must be an array");

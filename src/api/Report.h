@@ -54,14 +54,11 @@ struct StaticItem {
 /// serialized report is byte-identical to a pre-pass-free build's.
 struct StaticSection {
   bool Ran = false;
-  std::string Mode; ///< "sites" | "sites+box".
+  std::string Mode; ///< "sites" ("sites+box" in older logs).
   unsigned SitesTotal = 0;
   unsigned SitesPruned = 0; ///< Dropped from the objective (both kinds).
   unsigned SitesProvedSafe = 0;
   double Seconds = 0; ///< Pre-pass cost (stripped by deterministic form).
-  bool BoxShrunk = false;
-  double BoxLo = 0; ///< Shrunken start box (valid when BoxShrunk).
-  double BoxHi = 0;
   std::vector<StaticItem> Items;
 };
 
@@ -80,8 +77,10 @@ struct Report {
   unsigned StartsUsed = 0;
   unsigned UnsoundCandidates = 0;
   double WStar = 0; ///< Smallest weak distance seen (0 when found).
-  /// Execution tier the weak distance actually ran on: "vm", "interp",
-  /// or "native" (fpsat's CNF distance is compiled into the binary).
+  /// Execution tier the weak distance actually ran on: "jit", "vm",
+  /// "interp", "native" (fpsat's CNF distance is compiled into the
+  /// binary), or "static" (the pre-pass settled a path task before any
+  /// search).
   std::string Engine;
   /// Why the compiled tier fell back to the interpreter (empty unless
   /// engine=vm was requested and the lowering rejected the subject).

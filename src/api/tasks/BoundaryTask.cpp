@@ -35,12 +35,9 @@ Expected<Report> runBoundary(TaskContext &Ctx) {
   std::shared_ptr<WarmBoundary> W;
   if (Ctx.Warm && Ctx.Warm->State) {
     W = std::static_pointer_cast<WarmBoundary>(Ctx.Warm->State);
-    // Seconds and the per-run box shrink restart; the classification
-    // itself is already computed.
-    W->Plan.Clock0 = std::chrono::steady_clock::now();
+    // The classification is already computed; a warm run reports no
+    // pre-pass cost.
     W->Plan.Seconds = 0;
-    W->Plan.BoxShrunk = false;
-    W->Plan.BoxLo = W->Plan.BoxHi = 0;
   } else {
     W = std::make_shared<WarmBoundary>();
     W->Plan = tasks::planPrune(Ctx);
@@ -53,9 +50,8 @@ Expected<Report> runBoundary(TaskContext &Ctx) {
   tasks::PrunePlan &Plan = W->Plan;
   analyses::BoundaryAnalysis &BVA = *W->BVA;
 
-  core::SearchOptions Opts = Ctx.searchOptions({});
-  tasks::shrinkBox(Plan, *Ctx.F, Opts, BVA.sites());
-  core::SearchResult R = BVA.findOne(Ctx.primaryBackend(), Opts);
+  core::SearchResult R =
+      BVA.findOne(Ctx.primaryBackend(), Ctx.searchOptions({}));
 
   Report Rep;
   Rep.Success = R.Found;

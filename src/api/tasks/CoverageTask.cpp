@@ -26,7 +26,6 @@ Expected<Report> runCoverage(TaskContext &Ctx) {
   tasks::PrunePlan Plan = tasks::planPrune(Ctx);
   tasks::classifySites(Plan, Cov.sites());
   Opts.ExcludedDirs = tasks::droppedSorted(Plan);
-  tasks::shrinkBox(Plan, *Ctx.F, Opts.Reduce, Cov.sites());
 
   analyses::CoverageReport R = Cov.run(Ctx.primaryBackend(), Opts);
 

@@ -23,14 +23,6 @@ Expected<Report> runOverflow(TaskContext &Ctx) {
   tasks::PrunePlan Plan = tasks::planPrune(Ctx);
   tasks::classifySites(Plan, Detector.sites());
   Opts.PrunedSites = tasks::droppedSorted(Plan);
-  {
-    core::SearchOptions Box;
-    Box.StartLo = Opts.StartLo;
-    Box.StartHi = Opts.StartHi;
-    tasks::shrinkBox(Plan, *Ctx.F, Box, Detector.sites());
-    Opts.StartLo = Box.StartLo;
-    Opts.StartHi = Box.StartHi;
-  }
   analyses::OverflowReport R = Detector.run(Opts);
 
   Report Rep;

@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared "search.prune" flow of the four IR-backed task adapters:
-/// run the absint pre-pass over the original subject, classify the
-/// instrumented sites, drop proved ones from the search objective, and
-/// (in sites+box mode) shrink the start box. Findings are never affected
-/// — a dropped site provably cannot fire — only where the eval budget
-/// goes. Everything that ran lands in Report::Static.
+/// The shared "search.prune" flow of the IR-backed task adapters: run
+/// the absint pre-pass over the original subject, classify the
+/// instrumented sites, and drop proved ones from the search objective.
+/// Findings are never affected — a dropped site provably cannot fire —
+/// only where the eval budget goes. Everything that ran lands in
+/// Report::Static. The start box is left alone: it is the spec's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +20,6 @@
 #include "absint/AbsInt.h"
 #include "api/Report.h"
 #include "api/TaskRegistry.h"
-#include "core/SearchEngine.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
 
@@ -32,7 +31,7 @@
 namespace wdm::api::tasks {
 
 /// One adapter's pre-pass state: the analysis of the original subject
-/// plus everything classified/shrunk so far.
+/// plus everything classified so far.
 struct PrunePlan {
   PruneMode Mode = PruneMode::Off;
   /// The pre-pass analysis of the original subject (set when Mode != Off
@@ -43,9 +42,6 @@ struct PrunePlan {
   std::unordered_set<int> Dropped; ///< Site ids out of the objective.
   unsigned SitesTotal = 0;
   unsigned ProvedSafe = 0;
-  bool BoxShrunk = false;
-  double BoxLo = 0;
-  double BoxHi = 0;
   std::chrono::steady_clock::time_point Clock0;
   double Seconds = 0; ///< Pre-pass cost so far (stamped per step).
 
@@ -114,37 +110,6 @@ inline std::vector<int> droppedSorted(const PrunePlan &P) {
   return Out;
 }
 
-/// In sites+box mode, shrinks [Opts.StartLo, Opts.StartHi] to the
-/// per-dimension slices from which some still-active site is feasible.
-/// A heuristic for start placement only — wild starts roam the full
-/// domain regardless, so findings are unaffected.
-inline void shrinkBox(PrunePlan &P, const ir::Function &F,
-                      core::SearchOptions &Opts,
-                      const instr::SiteTable &Sites) {
-  if (P.Mode != PruneMode::SitesBox || !P.ran())
-    return;
-  obs::ScopedSpan Span("box_shrink");
-  std::unordered_set<int> Active;
-  for (const instr::Site &S : Sites)
-    if (!P.Dropped.count(S.Id))
-      Active.insert(S.Id);
-  if (Active.empty())
-    return;
-  absint::BoxShrinkResult R = absint::shrinkStartBox(
-      F, Opts.StartLo, Opts.StartHi, {},
-      [&](const absint::FunctionAnalysis &FA) {
-        return absint::anySiteMaybeTriggers(FA, Sites, Active);
-      });
-  if (R.Changed) {
-    Opts.StartLo = R.Lo;
-    Opts.StartHi = R.Hi;
-    P.BoxShrunk = true;
-    P.BoxLo = R.Lo;
-    P.BoxHi = R.Hi;
-  }
-  P.stamp();
-}
-
 /// Records the finished plan as the report's "static" section (a no-op
 /// when the pre-pass did not run, keeping prune-off reports byte-
 /// identical to a pre-pass-free build's).
@@ -155,8 +120,6 @@ inline void fillStatic(Report &Rep, const PrunePlan &P) {
     obs::count("absint.sites_total", P.SitesTotal);
     obs::count("absint.sites_pruned", P.Dropped.size());
     obs::count("absint.sites_proved_safe", P.ProvedSafe);
-    if (P.BoxShrunk)
-      obs::count("absint.boxes_shrunk");
   }
   Rep.Static.Ran = true;
   Rep.Static.Mode = pruneModeName(P.Mode);
@@ -164,9 +127,6 @@ inline void fillStatic(Report &Rep, const PrunePlan &P) {
   Rep.Static.SitesPruned = static_cast<unsigned>(P.Dropped.size());
   Rep.Static.SitesProvedSafe = P.ProvedSafe;
   Rep.Static.Seconds = P.Seconds;
-  Rep.Static.BoxShrunk = P.BoxShrunk;
-  Rep.Static.BoxLo = P.BoxLo;
-  Rep.Static.BoxHi = P.BoxHi;
   for (const absint::SiteReport &R : P.Sites) {
     if (R.Verdict == absint::SiteVerdict::Unknown)
       continue;

@@ -169,7 +169,7 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
   Threads = std::min<unsigned>(Threads, std::max(1u, Opts.Starts));
 
   if (Threads <= 1) {
-    // Sequential path: bit-for-bit the historical Reduction::solve loop.
+    // Sequential path: bit-for-bit the historical single-evaluator loop.
     std::unique_ptr<WeakDistance> Minted;
     WeakDistance *Eval = W;
     if (!Eval) {

@@ -97,7 +97,7 @@ struct SearchOptions {
   bool VerifySolutions = true;
   /// Worker threads across which the starts are distributed. 0 = one per
   /// hardware thread; 1 = fully sequential (bit-for-bit the historical
-  /// Reduction::solve loop). Clamped to 1 when the engine has no factory
+  /// single-evaluator loop). Clamped to 1 when the engine has no factory
   /// to mint thread-local evaluators from, or when a SampleRecorder is
   /// attached (recorders see samples in deterministic order only
   /// sequentially).

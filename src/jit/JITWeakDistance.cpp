@@ -396,9 +396,8 @@ JITWeakDistanceFactory::JITWeakDistanceFactory(
     double WInit, const ExecContext &Parent, ExecOptions Opts,
     const vm::Limits &VL, const Limits &JL)
     : F(F), WVar(WVar), WInit(WInit), Parent(Parent), Opts(Opts),
-      VMCompiled(vm::compile(E.module(), VL)),
-      JITCompiled(compile(VMCompiled, JL)),
-      VMFallback(E, F, WVar, WInit, Parent, Opts, VL) {
+      VMFallback(E, F, WVar, WInit, Parent, Opts, VL),
+      JITCompiled(compile(VMFallback.compiled(), JL)) {
   const CompiledFunction *JF = JITCompiled.lookup(F);
   assert(JF && "subject function outside the engine's module");
   if (JF->Ok) {

@@ -156,13 +156,13 @@ private:
   const exec::ExecContext &Parent;
   exec::ExecOptions Opts;
 
-  vm::CompiledModule VMCompiled; ///< Own lowering — native code points
-                                 ///< into its pools, so it must outlive
-                                 ///< JITCompiled and never move.
+  /// Owns the one lowering of the module. The native code is compiled
+  /// from it and points into its pools, so it is declared (and built)
+  /// before JITCompiled and outlives it.
+  vm::VMWeakDistanceFactory VMFallback;
   CompiledModule JITCompiled;
   const CompiledFunction *Target = nullptr; ///< Null => fallback.
   unsigned WIdx = 0;
-  vm::VMWeakDistanceFactory VMFallback;
   std::string Reason;
 };
 

@@ -16,7 +16,7 @@
 #ifndef WDM_SAT_SOLVER_H
 #define WDM_SAT_SOLVER_H
 
-#include "core/Reduction.h"
+#include "core/SearchEngine.h"
 #include "sat/Distance.h"
 
 namespace wdm::sat {
@@ -35,7 +35,7 @@ public:
     /// Full SearchOptions: Reduce.Threads > 1 fans the starts out over
     /// worker threads (each worker gets its own CNF-distance copy), and
     /// Reduce.Portfolio mixes MO backends across starts.
-    core::ReductionOptions Reduce;
+    core::SearchOptions Reduce;
   };
 
   /// Decides \p Constraint; "not found" maps to Sat = false.

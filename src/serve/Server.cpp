@@ -277,6 +277,9 @@ void Server::pollLoop() {
     }
     ++Idx;
 
+    // Connections accepted below have no pollfd in this round; they are
+    // polled from the next one.
+    const size_t Polled = Conns.size();
     if (Accepting) {
       if (Pfds[Idx].revents & POLLIN) {
         while (true) {
@@ -297,8 +300,8 @@ void Server::pollLoop() {
       ++Idx;
     }
 
-    // Read whatever arrived on each connection.
-    for (size_t C = 0; C < Conns.size(); ++C, ++Idx) {
+    // Read whatever arrived on each polled connection.
+    for (size_t C = 0; C < Polled; ++C, ++Idx) {
       if (!(Pfds[Idx].revents & (POLLIN | POLLHUP | POLLERR)))
         continue;
       Conn &Cn = *Conns[C];

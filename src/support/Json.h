@@ -7,9 +7,9 @@
 /// \file
 /// The one JSON layer of the project: a small document model (Value) with
 /// a writer and the reader the api::AnalysisSpec parser needs, plus the
-/// BenchJson report accumulator the perf-tracking benches share
-/// (historically bench/bench_json.h; promoted here so the api layer can
-/// serialize specs and reports with the same code the benches use).
+/// BenchJson report accumulator the perf-tracking benches share (it
+/// lives here so the api layer can serialize specs and reports with the
+/// same code the benches use).
 ///
 /// Writer rules: strings are escaped per RFC 8259 (quotes, backslashes,
 /// and all control characters); non-finite doubles have no JSON literal

@@ -35,10 +35,10 @@ TEST(BoundaryAnalysisTest, Fig2FindsABoundaryValue) {
   ASSERT_TRUE(ir::verifyModule(M).ok()) << ir::verifyModule(M).message();
 
   opt::BasinHopping Backend;
-  core::ReductionOptions Opts;
+  core::SearchOptions Opts;
   Opts.Seed = 42;
   Opts.MaxEvals = 40'000;
-  core::ReductionResult R = BVA.findOne(Backend, Opts);
+  core::SearchResult R = BVA.findOne(Backend, Opts);
   ASSERT_TRUE(R.Found);
   // The witness must trigger a boundary condition on the original.
   EXPECT_FALSE(BVA.hitsFor(R.Witness).empty());
@@ -78,10 +78,10 @@ TEST(PathReachabilityTest, Fig2BothBranches) {
   EXPECT_FALSE(PR.follows({2.5}));
 
   opt::BasinHopping Backend;
-  core::ReductionOptions Opts;
+  core::SearchOptions Opts;
   Opts.Seed = 7;
   Opts.MaxEvals = 20'000;
-  core::ReductionResult R = PR.findOne(Backend, Opts);
+  core::SearchResult R = PR.findOne(Backend, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_GE(R.Witness[0], -3.0);
   EXPECT_LE(R.Witness[0], 1.0);
@@ -103,10 +103,10 @@ TEST(PathReachabilityTest, Fig1aAssertionViolation) {
   EXPECT_FALSE(PR.follows({0.5}));
 
   opt::BasinHopping Backend;
-  core::ReductionOptions Opts;
+  core::SearchOptions Opts;
   Opts.Seed = 11;
   Opts.MaxEvals = 60'000;
-  core::ReductionResult R = PR.findOne(Backend, Opts);
+  core::SearchResult R = PR.findOne(Backend, Opts);
   ASSERT_TRUE(R.Found);
   // Only the maximal double below 1 triggers the violation.
   EXPECT_EQ(R.Witness[0], 0.9999999999999999);

@@ -12,6 +12,8 @@
 #include "api/TaskRegistry.h"
 #include "gsl/Bessel.h"
 #include "ir/Parser.h"
+#include "obs/Telemetry.h"
+#include "obs/Trace.h"
 #include "opt/BasinHopping.h"
 #include "support/Json.h"
 #include "vm/VMWeakDistance.h"
@@ -340,10 +342,10 @@ TEST(EquivalenceTest, BoundaryMatchesDirectOnQuickstart) {
   ir::Module &M = **Parsed;
   analyses::BoundaryAnalysis BVA(M, *M.functionByName("prog"));
   opt::BasinHopping Backend;
-  core::ReductionOptions Opts;
+  core::SearchOptions Opts;
   Opts.Seed = 2019;
   Opts.MaxEvals = 40'000;
-  core::ReductionResult Direct = BVA.findOne(Backend, Opts);
+  core::SearchResult Direct = BVA.findOne(Backend, Opts);
   ASSERT_TRUE(Direct.Found);
 
   // Declarative path with the same knobs.
@@ -516,11 +518,12 @@ TEST(SpecTest, PruneFieldDefaultsAndValidation) {
   EXPECT_EQ(Unset->Search.pruneMode(), PruneMode::Off);
   EXPECT_EQ(Unset->toJsonText().find("\"prune\""), std::string::npos);
 
-  // All three spellings parse and resolve.
+  // All three spellings parse; "sites+box" resolves to plain "sites"
+  // but keeps its text.
   const std::pair<const char *, PruneMode> Modes[] = {
       {"off", PruneMode::Off},
       {"sites", PruneMode::Sites},
-      {"sites+box", PruneMode::SitesBox},
+      {"sites+box", PruneMode::Sites},
   };
   for (const auto &[Name, Mode] : Modes) {
     Expected<AnalysisSpec> Ok = AnalysisSpec::parse(
@@ -555,6 +558,25 @@ TEST(SpecTest, PruneFieldDefaultsAndValidation) {
   Expected<Report> R = Analyzer::analyze(Direct);
   ASSERT_FALSE(R.hasValue());
   EXPECT_NE(R.error().find("prune"), std::string::npos);
+}
+
+TEST(SpecTest, UnknownPruneNameErrorIsUnchanged) {
+  // Folding "sites+box" into "sites" leaves the accepted names, and so
+  // the message that lists them, as they were.
+  Expected<AnalysisSpec> Bad = AnalysisSpec::parse(
+      R"({"task": "boundary", "module": {"builtin": "fig2"},
+          "search": {"prune": "box"}})");
+  ASSERT_FALSE(Bad.hasValue());
+  EXPECT_EQ(Bad.error(),
+            "spec: prune must be one of off|sites|sites+box, got 'box'");
+
+  AnalysisSpec Direct;
+  Direct.Task = TaskKind::Boundary;
+  Direct.Module = ModuleSource::builtin("fig2");
+  Direct.Search.Prune = "box";
+  Expected<Report> R = Analyzer::analyze(Direct);
+  ASSERT_FALSE(R.hasValue());
+  EXPECT_EQ(R.error(), Bad.error());
 }
 
 TEST(SpecTest, AnalyzerVerifiesParsedModules) {
@@ -603,11 +625,11 @@ TEST(ReportTest, StaticSectionRoundTrip) {
   Spec.Module = ModuleSource::builtin("bessel");
   Spec.Search.Seed = 0x5a;
   Spec.Search.MaxEvals = 3000;
-  Spec.Search.Prune = "sites+box";
+  Spec.Search.Prune = "sites";
   Expected<Report> R = Analyzer::analyze(Spec);
   ASSERT_TRUE(R.hasValue()) << R.error();
   ASSERT_TRUE(R->Static.Ran);
-  EXPECT_EQ(R->Static.Mode, "sites+box");
+  EXPECT_EQ(R->Static.Mode, "sites");
   EXPECT_GT(R->Static.SitesTotal, 0u);
 
   // toJson -> fromJson -> toJson is byte-identical, section included.
@@ -619,7 +641,6 @@ TEST(ReportTest, StaticSectionRoundTrip) {
   EXPECT_EQ(Back->Static.SitesTotal, R->Static.SitesTotal);
   EXPECT_EQ(Back->Static.SitesPruned, R->Static.SitesPruned);
   EXPECT_EQ(Back->Static.SitesProvedSafe, R->Static.SitesProvedSafe);
-  EXPECT_EQ(Back->Static.BoxShrunk, R->Static.BoxShrunk);
   EXPECT_EQ(Back->Static.Items.size(), R->Static.Items.size());
   EXPECT_EQ(Back->toJsonText(), Text);
 
@@ -653,6 +674,75 @@ TEST(ReportTest, StaticSectionAbsentFromOlderLogs) {
   EXPECT_EQ(Back->toJsonText(), Text);
 }
 
+TEST(ReportTest, StaticBoxFromOlderLogsIsIgnored) {
+  // Reports written while "sites+box" still shrank the start box carry
+  // a "static"."box" member. They must still load (resume logs replay
+  // them); the member is dropped.
+  Expected<Report> R = Report::parse(R"({
+    "task": "boundary", "function": "fig2", "success": true,
+    "findings": [], "evals": 1799,
+    "static": {"mode": "sites+box", "sites_total": 4, "sites_pruned": 0,
+               "sites_proved_safe": 0, "seconds": 0.001,
+               "box": {"lo": -100, "hi": 12.5}, "items": []}
+  })");
+  ASSERT_TRUE(R.hasValue()) << R.error();
+  EXPECT_TRUE(R->Static.Ran);
+  EXPECT_EQ(R->Static.Mode, "sites+box");
+  EXPECT_EQ(R->Static.SitesTotal, 4u);
+  EXPECT_EQ(R->Evals, 1799u);
+  EXPECT_EQ(R->toJsonText().find("\"box\""), std::string::npos);
+}
+
+TEST(EquivalenceTest, SitesBoxRunsExactlyLikeSites) {
+  // fig2 boundary is a spec whose start box the old "sites+box" mode
+  // shrank. Now the start box comes from the spec alone: the run emits
+  // no box-shrink span or counter, and its deterministic report equals
+  // the "sites" report byte for byte.
+  obs::setEnabled(true);
+  obs::resetMetrics();
+  obs::clearTrace();
+  obs::startTrace();
+  AnalysisSpec Spec;
+  Spec.Task = TaskKind::Boundary;
+  Spec.Module = ModuleSource::builtin("fig2");
+  Spec.Search.Seed = 2019;
+  Spec.Search.MaxEvals = 40000;
+  Spec.Search.Threads = 1;
+  Spec.Search.Prune = "sites+box";
+  Expected<Report> Box = Analyzer::analyze(Spec);
+  obs::stopTrace();
+  json::Value Counters = obs::snapshotJson();
+  json::Value Trace = obs::traceJson();
+  obs::setEnabled(false);
+  obs::resetMetrics();
+  obs::clearTrace();
+  ASSERT_TRUE(Box.hasValue()) << Box.error();
+
+  const json::Value *Events = Trace.find("traceEvents");
+  ASSERT_NE(Events, nullptr);
+  bool SawPrepass = false;
+  for (size_t I = 0; I < Events->size(); ++I) {
+    std::string Name = Events->at(I).find("name")->asString();
+    SawPrepass |= Name == "absint_prepass";
+    EXPECT_NE(Name, "box_shrink");
+  }
+  EXPECT_TRUE(SawPrepass);
+  const json::Value *Cs = Counters.find("counters");
+  ASSERT_NE(Cs, nullptr);
+  EXPECT_NE(Cs->find("absint.prepass_runs"), nullptr);
+  EXPECT_EQ(Cs->find("absint.boxes_shrunk"), nullptr);
+
+  json::Value BoxJson = Box->toJson();
+  ASSERT_NE(BoxJson.find("static"), nullptr);
+  EXPECT_EQ(BoxJson.find("static")->find("box"), nullptr);
+
+  Spec.Search.Prune = "sites";
+  Expected<Report> Sites = Analyzer::analyze(Spec);
+  ASSERT_TRUE(Sites.hasValue()) << Sites.error();
+  EXPECT_EQ(deterministicReportJson(BoxJson).dump(),
+            deterministicReportJson(Sites->toJson()).dump());
+}
+
 TEST(EquivalenceTest, PruneModesPreserveFindings) {
   // The pre-pass only redirects the eval budget; the set of (kind, site)
   // findings must be identical across prune modes.
@@ -671,7 +761,7 @@ TEST(EquivalenceTest, PruneModesPreserveFindings) {
     Spec.Search.Prune = "off";
     Expected<Report> Off = Analyzer::analyze(Spec);
     ASSERT_TRUE(Off.hasValue()) << Off.error();
-    Spec.Search.Prune = "sites+box";
+    Spec.Search.Prune = "sites";
     Expected<Report> On = Analyzer::analyze(Spec);
     ASSERT_TRUE(On.hasValue()) << On.error();
     EXPECT_EQ(SiteSet(*Off), SiteSet(*On)) << Builtin;

@@ -602,7 +602,7 @@ traceWitness(analyses::BoundaryAnalysis &BVA, ir::Module &M,
 }
 
 struct SearchRun {
-  core::ReductionResult R;
+  core::SearchResult R;
   std::vector<std::pair<int, bool>> Trace;
   std::vector<opt::VectorRecorder::Sample> Samples;
 };
@@ -616,7 +616,7 @@ SearchRun runBoundarySearch(const char *Func, vm::EngineKind Engine,
   analyses::BoundaryAnalysis BVA(M, *M.functionByName(Func),
                                  instr::BoundaryForm::Product, Engine);
   opt::DifferentialEvolution Backend; // the population backend
-  core::ReductionOptions Opts;
+  core::SearchOptions Opts;
   Opts.Seed = 2019;
   Opts.MaxEvals = MaxEvals;
   Opts.Starts = Starts;

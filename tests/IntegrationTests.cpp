@@ -153,10 +153,10 @@ big:
   analyses::BoundaryAnalysis BVA(M, *M.functionByName("f"));
 
   opt::BasinHopping Backend;
-  core::ReductionOptions Opts;
+  core::SearchOptions Opts;
   Opts.Seed = 5;
   Opts.MaxEvals = 40'000;
-  core::ReductionResult R = BVA.findOne(Backend, Opts);
+  core::SearchResult R = BVA.findOne(Backend, Opts);
   ASSERT_TRUE(R.Found);
   // Boundary: x*x == 25 exactly -> x = +-5.
   EXPECT_EQ(std::fabs(R.Witness[0]), 5.0);
@@ -228,13 +228,13 @@ TEST(DeterminismTest, FullAnalysisPipeline) {
     subjects::Fig2 P = subjects::buildFig2(M);
     analyses::BoundaryAnalysis BVA(M, *P.F);
     opt::BasinHopping Backend;
-    core::ReductionOptions Opts;
+    core::SearchOptions Opts;
     Opts.Seed = 0xd00d;
     Opts.MaxEvals = 20'000;
     return BVA.findOne(Backend, Opts);
   };
-  core::ReductionResult A = Run();
-  core::ReductionResult B = Run();
+  core::SearchResult A = Run();
+  core::SearchResult B = Run();
   ASSERT_EQ(A.Found, B.Found);
   EXPECT_EQ(A.Witness, B.Witness);
   EXPECT_EQ(A.Evals, B.Evals);

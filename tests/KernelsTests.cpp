@@ -53,11 +53,11 @@ TEST(QuadraticSolverTest, BoundaryAnalysisFindsDoubleRootSurface) {
   BoundaryAnalysis BVA(M, *P.F);
 
   opt::BasinHopping Backend;
-  core::ReductionOptions Opts;
+  core::SearchOptions Opts;
   Opts.Seed = 0x9d;
   Opts.MaxEvals = 150'000;
   Opts.Starts = 16;
-  core::ReductionResult R = BVA.findOne(Backend, Opts);
+  core::SearchResult R = BVA.findOne(Backend, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_FALSE(BVA.hitsFor(R.Witness).empty());
 }
@@ -86,11 +86,11 @@ TEST(QuadraticSolverTest, PathToDoubleRoot) {
   EXPECT_FALSE(PR.follows({1.0, 0.0, 1.0}));
 
   opt::BasinHopping Backend;
-  core::ReductionOptions Opts;
+  core::SearchOptions Opts;
   Opts.Seed = 0x9e;
   Opts.MaxEvals = 200'000;
   Opts.Starts = 20;
-  core::ReductionResult R = PR.findOne(Backend, Opts);
+  core::SearchResult R = PR.findOne(Backend, Opts);
   if (R.Found) {
     double A = R.Witness[0], B = R.Witness[1], C = R.Witness[2];
     EXPECT_EQ(B * B - 4.0 * A * C, 0.0);
@@ -165,10 +165,10 @@ TEST(HermiteTest, BoundaryValuesAtClamps) {
   EXPECT_GT(BVA.weak()({1.0, 2.0, 0.5}), 0.0);
 
   opt::BasinHopping Backend;
-  core::ReductionOptions Opts;
+  core::SearchOptions Opts;
   Opts.Seed = 0xa1;
   Opts.MaxEvals = 60'000;
-  core::ReductionResult R = BVA.findOne(Backend, Opts);
+  core::SearchResult R = BVA.findOne(Backend, Opts);
   ASSERT_TRUE(R.Found);
   double T = R.Witness[2];
   EXPECT_TRUE(T == 0.0 || T == 1.0) << "t = " << T;

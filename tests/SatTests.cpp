@@ -260,10 +260,10 @@ TEST_P(Instance5EquivalenceTest, SolverAgreesWithPathReachability) {
   Spec.Legs.push_back({L.Branch, true});
   analyses::PathReachability PR(M, *L.F, Spec);
   opt::BasinHopping Backend;
-  core::ReductionOptions POpts;
+  core::SearchOptions POpts;
   POpts.Seed = 50;
   POpts.MaxEvals = 120'000;
-  core::ReductionResult RR = PR.findOne(Backend, POpts);
+  core::SearchResult RR = PR.findOne(Backend, POpts);
 
   EXPECT_EQ(SR.Sat, RR.Found) << GetParam();
   if (SR.Sat) {

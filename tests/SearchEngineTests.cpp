@@ -156,26 +156,6 @@ TEST(SearchEngineTest, CountsUnsoundCandidatesAtEveryThreadCount) {
   expectSameResult(Sequential, Parallel);
 }
 
-TEST(SearchEngineTest, FacadeMatchesSharedEvaluatorEngine) {
-  // Reduction is a façade over SearchEngine; both entries must produce
-  // bit-identical results for the same seed.
-  LambdaWeak W(
-      [](const std::vector<double> &X) {
-        return std::fabs(std::sin(X[0]) + 0.3) + 0.001;
-      },
-      1);
-  opt::BasinHopping Backend;
-  ReductionOptions Opts;
-  Opts.Seed = 6;
-  Opts.MaxEvals = 3'000;
-
-  Reduction Facade(W, nullptr);
-  ReductionResult A = Facade.solve(Backend, Opts);
-  SearchEngine Engine(W, nullptr);
-  SearchResult B = Engine.solve(Backend, Opts);
-  expectSameResult(A, B);
-}
-
 TEST(SearchEngineTest, PortfolioRoundRobinIsDeterministicAndSolves) {
   opt::BasinHopping BH;
   opt::DifferentialEvolution DE;
@@ -307,7 +287,7 @@ TEST(SearchEngineTest, BoundaryAnalysisRunsParallelThroughFactory) {
     subjects::Fig2 P = subjects::buildFig2(M);
     analyses::BoundaryAnalysis BVA(M, *P.F);
     opt::BasinHopping Backend;
-    ReductionOptions Opts;
+    SearchOptions Opts;
     Opts.Seed = 2019;
     Opts.MaxEvals = 30'000;
     Opts.Threads = Threads;

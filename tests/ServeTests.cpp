@@ -36,8 +36,11 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
 #include <dirent.h>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -404,43 +407,50 @@ TEST(WarmCacheTest, KeyIgnoresVolatileSearchKnobsOnly) {
 }
 
 TEST(WarmCacheTest, WarmRerunIsBitIdenticalAndSkipsLowering) {
-  ObsQuiesce Quiesce;
-  obs::setEnabled(true);
+  // Boundary and path tasks both park warm state; the path spec also
+  // runs the pre-pass, so its plan is reused too.
+  api::AnalysisSpec Path = fig2Spec(2019);
+  Path.Task = api::TaskKind::Path;
+  Path.Path = {{0, true}, {1, true}};
+  Path.Search.Prune = "sites";
+  for (const api::AnalysisSpec &Spec : {fig2Spec(2019), Path}) {
+    SCOPED_TRACE(api::taskKindName(Spec.Task));
+    ObsQuiesce Quiesce;
+    obs::setEnabled(true);
+    api::WarmCache Warm(8);
 
-  api::WarmCache Warm(8);
-  api::AnalysisSpec Spec = fig2Spec(2019);
+    api::Analyzer Cold(Spec);
+    Cold.setWarmCache(&Warm);
+    Expected<api::Report> R1 = Cold.run();
+    ASSERT_TRUE(R1.hasValue()) << R1.error();
+    EXPECT_FALSE(Cold.lastRunWarm());
+    Value AfterCold = obs::snapshotJson();
+    EXPECT_GE(counterIn(AfterCold, "vm.module_lowerings"), 1u);
 
-  api::Analyzer Cold(Spec);
-  Cold.setWarmCache(&Warm);
-  Expected<api::Report> R1 = Cold.run();
-  ASSERT_TRUE(R1.hasValue()) << R1.error();
-  EXPECT_FALSE(Cold.lastRunWarm());
-  Value AfterCold = obs::snapshotJson();
-  EXPECT_GE(counterIn(AfterCold, "vm.module_lowerings"), 1u);
+    api::Analyzer WarmRun(Spec);
+    WarmRun.setWarmCache(&Warm);
+    Expected<api::Report> R2 = WarmRun.run();
+    ASSERT_TRUE(R2.hasValue()) << R2.error();
+    EXPECT_TRUE(WarmRun.lastRunWarm());
+    Value AfterWarm = obs::snapshotJson();
 
-  api::Analyzer WarmRun(Spec);
-  WarmRun.setWarmCache(&Warm);
-  Expected<api::Report> R2 = WarmRun.run();
-  ASSERT_TRUE(R2.hasValue()) << R2.error();
-  EXPECT_TRUE(WarmRun.lastRunWarm());
-  Value AfterWarm = obs::snapshotJson();
+    // The warm request skipped resolve -> verify -> lower entirely.
+    EXPECT_EQ(counterIn(AfterWarm, "vm.module_lowerings"),
+              counterIn(AfterCold, "vm.module_lowerings"));
+    EXPECT_EQ(counterIn(AfterWarm, "analyzer.module_resolutions"),
+              counterIn(AfterCold, "analyzer.module_resolutions"));
+    EXPECT_GE(counterIn(AfterWarm, "analyzer.warm_hits"), 1u);
 
-  // The warm request skipped resolve -> verify -> lower entirely.
-  EXPECT_EQ(counterIn(AfterWarm, "vm.module_lowerings"),
-            counterIn(AfterCold, "vm.module_lowerings"));
-  EXPECT_EQ(counterIn(AfterWarm, "analyzer.module_resolutions"),
-            counterIn(AfterCold, "analyzer.module_resolutions"));
-  EXPECT_GE(counterIn(AfterWarm, "analyzer.warm_hits"), 1u);
+    // And stayed bit-identical in the deterministic view.
+    EXPECT_EQ(api::deterministicReportJson(R1->toJson()).dump(),
+              api::deterministicReportJson(R2->toJson()).dump());
 
-  // And stayed bit-identical in the deterministic view.
-  EXPECT_EQ(api::deterministicReportJson(R1->toJson()).dump(),
-            api::deterministicReportJson(R2->toJson()).dump());
-
-  // A cold Analyzer without the cache agrees too.
-  Expected<api::Report> R3 = api::Analyzer::analyze(Spec);
-  ASSERT_TRUE(R3.hasValue()) << R3.error();
-  EXPECT_EQ(api::deterministicReportJson(R1->toJson()).dump(),
-            api::deterministicReportJson(R3->toJson()).dump());
+    // A cold Analyzer without the cache agrees too.
+    Expected<api::Report> R3 = api::Analyzer::analyze(Spec);
+    ASSERT_TRUE(R3.hasValue()) << R3.error();
+    EXPECT_EQ(api::deterministicReportJson(R1->toJson()).dump(),
+              api::deterministicReportJson(R3->toJson()).dump());
+  }
 }
 
 TEST(WarmCacheTest, DifferentVolatileKnobsShareOneEntry) {
@@ -675,6 +685,51 @@ TEST(ServeSocketTest, EndToEndRunCacheWarmAndMetrics) {
             D4->find("report_hash")->asString());
   S2.requestStop();
   S2.wait();
+}
+
+TEST(ServeSocketTest, BurstOfConnectionsIsAcceptedAndAnswered) {
+  // All clients connect before any sends, so the kernel queues them and
+  // one accept loop takes several in a single poll round. The loop has
+  // no pollfd for those yet; it must not read one, and every connection
+  // must still get its answer.
+  ObsQuiesce Quiesce;
+  Server S({});
+  ASSERT_TRUE(S.start().ok());
+
+  constexpr int Clients = 24;
+  std::vector<int> Fds;
+  for (int I = 0; I < Clients; ++I) {
+    int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(Fd, 0);
+    timeval Tv{10, 0};
+    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
+    sockaddr_in Addr{};
+    Addr.sin_family = AF_INET;
+    Addr.sin_port = htons(S.port());
+    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
+                        sizeof(Addr)),
+              0);
+    Fds.push_back(Fd);
+  }
+  const std::string Req = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+  for (int Fd : Fds)
+    ASSERT_EQ(::write(Fd, Req.data(), Req.size()),
+              static_cast<ssize_t>(Req.size()));
+  for (int Fd : Fds) {
+    std::string Raw;
+    char Buf[4096];
+    ssize_t N;
+    while ((N = ::read(Fd, Buf, sizeof(Buf))) > 0)
+      Raw.append(Buf, static_cast<size_t>(N));
+    ::close(Fd);
+    ParsedResponse P = parseResponse(Raw);
+    EXPECT_EQ(P.Status, 200) << Raw;
+    EXPECT_NE(P.Body.find("\"ok\""), std::string::npos) << Raw;
+  }
+
+  S.requestStop();
+  S.wait();
 }
 
 TEST(ServeSocketTest, AsyncSuiteLifecycleAndEvents) {

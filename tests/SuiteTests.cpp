@@ -241,6 +241,27 @@ TEST(SuiteSpecTest, DefaultsMergeUnderJobFields) {
   EXPECT_EQ(*(*Jobs)[1].Spec.Search.Starts, 3u);     // sibling survives
 }
 
+TEST(SuiteSpecTest, SitesBoxJobKeepsItsTextAndId) {
+  // "sites+box" now runs as "sites", but a spec keeps the text it was
+  // written with, so its content-addressed job id (which resume logs
+  // and the serve cache key on) is the one older builds gave it.
+  Expected<SuiteSpec> Suite = SuiteSpec::parse(R"({
+    "jobs": [{"task": "boundary", "module": {"builtin": "fig2"},
+              "search": {"seed": 2019, "max_evals": 40000,
+                         "prune": "sites+box"}}]
+  })");
+  ASSERT_TRUE(Suite.hasValue()) << Suite.error();
+  Expected<std::vector<SuiteJob>> Jobs = Suite->expand();
+  ASSERT_TRUE(Jobs.hasValue()) << Jobs.error();
+  ASSERT_EQ(Jobs->size(), 1u);
+  const SuiteJob &Job = (*Jobs)[0];
+  EXPECT_EQ(Job.Spec.Search.Prune, "sites+box");
+  EXPECT_NE(Job.CanonicalSpec.find("\"prune\": \"sites+box\""),
+            std::string::npos)
+      << Job.CanonicalSpec;
+  EXPECT_EQ(Job.Id, "1c0b01e3c3bf6506");
+}
+
 TEST(SuiteSpecTest, PruneFlowsThroughDefaultsAndJobs) {
   // search.prune rides the same deep-merge as every search field: the
   // suite default applies, a job override wins, and bad values fail
@@ -260,7 +281,7 @@ TEST(SuiteSpecTest, PruneFlowsThroughDefaultsAndJobs) {
   ASSERT_TRUE(Jobs.hasValue()) << Jobs.error();
   ASSERT_EQ(Jobs->size(), 3u);
   EXPECT_EQ((*Jobs)[0].Spec.Search.pruneMode(), api::PruneMode::Sites);
-  EXPECT_EQ((*Jobs)[1].Spec.Search.pruneMode(), api::PruneMode::SitesBox);
+  EXPECT_EQ((*Jobs)[1].Spec.Search.pruneMode(), api::PruneMode::Sites);
   EXPECT_EQ((*Jobs)[2].Spec.Search.pruneMode(), api::PruneMode::Off);
 
   Expected<SuiteSpec> Bad = SuiteSpec::parse(R"({

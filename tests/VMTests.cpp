@@ -22,6 +22,7 @@
 #include "ir/Verifier.h"
 #include "jit/JITCompile.h"
 #include "jit/JITWeakDistance.h"
+#include "obs/Telemetry.h"
 #include "opt/BasinHopping.h"
 #include "subjects/SinModel.h"
 #include "support/FPUtils.h"
@@ -385,13 +386,13 @@ TEST(VMEquivalenceTest, BoundarySearchIdenticalAcrossEngines) {
     analyses::BoundaryAnalysis BVA(M, *M.functionByName("prog"),
                                    instr::BoundaryForm::Product, Engine);
     opt::BasinHopping Backend;
-    core::ReductionOptions Opts;
+    core::SearchOptions Opts;
     Opts.Seed = 2019;
     Opts.MaxEvals = 40'000;
     return BVA.findOne(Backend, Opts);
   };
-  core::ReductionResult RI = Run(vm::EngineKind::Interp);
-  core::ReductionResult RV = Run(vm::EngineKind::VM);
+  core::SearchResult RI = Run(vm::EngineKind::Interp);
+  core::SearchResult RV = Run(vm::EngineKind::VM);
   EXPECT_EQ(RI.Found, RV.Found);
   EXPECT_EQ(RI.Witness, RV.Witness);
   EXPECT_EQ(RI.Evals, RV.Evals);
@@ -538,6 +539,32 @@ TEST(JITEquivalenceTest, BatchEvaluationMatchesScalar) {
   Batched->evalBatch(Xs.data(), K, Got.data());
   for (std::size_t L = 0; L < K; ++L)
     EXPECT_EQ(bitsOf(Want[L]), bitsOf(Got[L])) << Xs[L];
+}
+
+TEST(JITFactoryTest, LowersTheModuleOnce) {
+  // The native code is compiled from the VM fallback's own lowering, so
+  // one jit factory costs exactly one module lowering.
+  auto Parsed = ir::parseModule(QuickstartIr);
+  ASSERT_TRUE(Parsed.hasValue()) << Parsed.error();
+  ir::Module &M = **Parsed;
+  instr::BoundaryInstrumentation BI =
+      instr::instrumentBoundary(*M.functionByName("prog"));
+  exec::Engine E(M);
+  exec::ExecContext Parent(M);
+
+  auto Lowerings = []() -> uint64_t {
+    json::Value Snap = obs::snapshotJson();
+    const json::Value *Cs = Snap.find("counters");
+    const json::Value *C = Cs ? Cs->find("vm.module_lowerings") : nullptr;
+    return C ? C->asUint() : 0;
+  };
+  obs::setEnabled(true);
+  const uint64_t Before = Lowerings();
+  jit::JITWeakDistanceFactory Factory(E, BI.Wrapped, BI.W, BI.WInit,
+                                      Parent);
+  const uint64_t After = Lowerings();
+  obs::setEnabled(false);
+  EXPECT_EQ(After - Before, 1u);
 }
 
 TEST(JITFallbackTest, TinyCodeLimitRejectsAndFallsBackToVM) {

@@ -98,7 +98,7 @@ int usage() {
          "  --engine=<e>               execution tier: vm (default) | "
          "interp | jit\n"
          "  --prune=<m>                static pre-pass: off (default) | "
-         "sites | sites+box\n"
+         "sites (sites+box reads as sites)\n"
          "  --path=<leg,leg,...>       path legs, e.g. 0:taken,1:not\n"
          "  --boundary-form=<f>        product|min|minulp\n"
          "  --overflow-metric=<m>      ulpgap|absgap\n"
@@ -295,11 +295,7 @@ void printReport(const Report &R) {
     std::cout << "static:    mode=" << R.Static.Mode << ", pruned "
               << R.Static.SitesPruned << "/" << R.Static.SitesTotal
               << " sites (" << R.Static.SitesProvedSafe
-              << " proved safe)";
-    if (R.Static.BoxShrunk)
-      std::cout << ", box [" << R.Static.BoxLo << ", " << R.Static.BoxHi
-                << "]";
-    std::cout << "\n";
+              << " proved safe)\n";
   }
   std::cout << "seconds:   " << formatf("%.3f", R.Seconds) << "\n"
             << "threads:   " << R.ThreadsUsed << "\n";
