@@ -64,6 +64,27 @@ struct Corners {
   }
 };
 
+/// Returns \p V read back from a volatile slot, which the compiler
+/// cannot see through.
+template <typename T> T opaque(T V) {
+  volatile T Slot = V;
+  return Slot;
+}
+
+/// Evaluates Op(Args...) under rounding mode \p Mode. GCC does not treat
+/// the rounding mode as an input of FP arithmetic, even under
+/// -frounding-math, so it may merge the FE_DOWNWARD and FE_UPWARD
+/// evaluations of one corner into a single add, rounding the upper
+/// bound down. Operands read back after fesetround and a volatile result
+/// written before the mode is restored pin each evaluation inside its
+/// own scope.
+template <typename OpT, typename... ArgTs>
+double underRounding(int Mode, OpT Op, ArgTs... Args) {
+  DirectedRounding RM(Mode);
+  volatile double R = Op(opaque(Args)...);
+  return R;
+}
+
 template <typename OpT>
 FPInterval cornerOp(const FPInterval &A, const FPInterval &B, OpT Op) {
   FPInterval R = FPInterval::bottom();
@@ -74,18 +95,9 @@ FPInterval cornerOp(const FPInterval &A, const FPInterval &B, OpT Op) {
   const double As[2] = {A.Lo, A.Hi};
   const double Bs[2] = {B.Lo, B.Hi};
   for (double X : As)
-    for (double Y : Bs) {
-      double Down, Up;
-      {
-        DirectedRounding RM(FE_DOWNWARD);
-        Down = Op(X, Y);
-      }
-      {
-        DirectedRounding RM(FE_UPWARD);
-        Up = Op(X, Y);
-      }
-      C.add(Down, Up);
-    }
+    for (double Y : Bs)
+      C.add(underRounding(FE_DOWNWARD, Op, X, Y),
+            underRounding(FE_UPWARD, Op, X, Y));
   R.Lo = C.Lo;
   R.Hi = C.Hi;
   R.MayNaN = R.MayNaN || C.SawNaN;
@@ -388,15 +400,9 @@ FPInterval absint::absSqrt(const FPInterval &A) {
   if (A.numEmpty() || A.Hi < 0.0)
     return R;
   // sqrt is an exact IEEE operation; directed rounding gives tight bounds.
-  double Lo = std::max(A.Lo, 0.0);
-  {
-    DirectedRounding RM(FE_DOWNWARD);
-    R.Lo = std::sqrt(Lo);
-  }
-  {
-    DirectedRounding RM(FE_UPWARD);
-    R.Hi = std::sqrt(A.Hi);
-  }
+  auto Sqrt = [](double V) { return std::sqrt(V); };
+  R.Lo = underRounding(FE_DOWNWARD, Sqrt, std::max(A.Lo, 0.0));
+  R.Hi = underRounding(FE_UPWARD, Sqrt, A.Hi);
   return R;
 }
 
@@ -718,14 +724,9 @@ FPInterval absint::absSIToFP(const IntInterval &A) {
     return R;
   // int -> double is an exact IEEE conversion: directed rounding bounds
   // the result under every runtime mode.
-  {
-    DirectedRounding RM(FE_DOWNWARD);
-    R.Lo = static_cast<double>(A.Lo);
-  }
-  {
-    DirectedRounding RM(FE_UPWARD);
-    R.Hi = static_cast<double>(A.Hi);
-  }
+  auto ToFP = [](int64_t V) { return static_cast<double>(V); };
+  R.Lo = underRounding(FE_DOWNWARD, ToFP, A.Lo);
+  R.Hi = underRounding(FE_UPWARD, ToFP, A.Hi);
   return R;
 }
 

@@ -64,13 +64,6 @@ std::string obs::toPrometheus(const Value &Snapshot) {
       Out += Prom + " " + formatNumber(V.asDouble()) + "\n";
     }
 
-  if (const Value *Gauges = Snapshot.find("gauges"))
-    for (const auto &[Name, V] : Gauges->members()) {
-      std::string Prom = sanitize(Name);
-      header(Out, Prom, Name, "gauge");
-      Out += Prom + " " + formatNumber(V.asDouble()) + "\n";
-    }
-
   if (const Value *Hists = Snapshot.find("histograms"))
     for (const auto &[Name, H] : Hists->members()) {
       std::string Prom = sanitize(Name);

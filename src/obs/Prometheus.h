@@ -15,7 +15,6 @@
 ///  - metric names sanitize '.' (and any other non-[a-zA-Z0-9_]) to '_';
 ///  - counters gain the conventional `_total` suffix
 ///    (`serve.cache_hits` -> `serve_cache_hits_total`);
-///  - gauges serialize verbatim;
 ///  - log2 histograms become cumulative `_bucket{le="2^k"}` series
 ///    (the JSON snapshot stores per-bucket counts; bucket k's upper
 ///    bound is 2^k with bucket 0 covering v <= 1), plus the standard

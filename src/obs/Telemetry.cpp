@@ -1,4 +1,4 @@
-//===--- Telemetry.cpp - Process-wide counters/gauges/histograms -----------===//
+//===--- Telemetry.cpp - Process-wide counters and histograms --------------===//
 //
 // Part of the wdm project (PLDI 2019 weak-distance minimization repro).
 //
@@ -8,8 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <mutex>
-#include <vector>
 
 using namespace wdm;
 using namespace wdm::obs;
@@ -17,129 +17,57 @@ using wdm::json::Value;
 
 std::atomic<bool> wdm::obs::detail::EnabledFlag{false};
 
-namespace {
+/// One metric's storage, shared by every thread. A counter uses Count
+/// only; a histogram uses all three fields.
+struct wdm::obs::detail::Slot {
+  enum class MetricKind : uint8_t { Counter, Histogram };
 
-enum class MetricKind : uint8_t { Counter, Gauge, Histogram };
+  Slot(std::string Name, MetricKind Kind)
+      : Name(std::move(Name)), Kind(Kind) {}
 
-struct HistData {
-  uint64_t Count = 0;
-  double Sum = 0;
-  uint64_t Buckets[Histogram::NumBuckets] = {};
+  const std::string Name;
+  const MetricKind Kind;
+  std::atomic<uint64_t> Count{0};
+  std::atomic<double> Sum{0};
+  std::atomic<uint64_t> Buckets[Histogram::NumBuckets] = {};
 
-  void add(const HistData &O) {
-    Count += O.Count;
-    Sum += O.Sum;
-    for (unsigned I = 0; I < Histogram::NumBuckets; ++I)
-      Buckets[I] += O.Buckets[I];
+  void zero() {
+    Count.store(0, std::memory_order_relaxed);
+    Sum.store(0, std::memory_order_relaxed);
+    for (std::atomic<uint64_t> &B : Buckets)
+      B.store(0, std::memory_order_relaxed);
   }
 };
 
-/// One thread's private slot arrays. Grown lazily to the registry's
-/// current metric count the first time the thread touches a metric with
-/// a larger id; only the owning thread writes, so growth needs no lock
-/// (the merge below reads under the registry mutex while the owner may
-/// be appending — see Shard::snapshotInto).
-struct Shard;
+namespace {
 
-/// The process-wide registry: metric names/kinds, the live-shard list,
-/// and the folded totals of shards whose threads have exited.
+using detail::Slot;
+using MetricKind = Slot::MetricKind;
+
+/// The process-wide registry. Slots are appended under Mu and never
+/// move (std::deque keeps its elements in place on push_back), so a
+/// handle's slot pointer stays valid while other threads intern.
 struct Registry {
   std::mutex Mu;
-  std::vector<std::pair<std::string, MetricKind>> Metrics;
-  std::vector<Shard *> Live;
-  // Retired totals, indexed like Metrics (per kind below).
-  std::vector<uint64_t> RetiredCounters;
-  std::vector<double> GaugeValues; ///< Gauges are global last-write-wins.
-  std::vector<uint64_t> GaugeSeq;  ///< Write sequence for LWW merging.
-  std::vector<HistData> RetiredHists;
-  std::atomic<uint64_t> GaugeClock{0};
+  std::deque<Slot> Slots;
 
   static Registry &get() {
-    // Intentionally leaked: thread_local Shard destructors run during
-    // shutdown and must find a live registry regardless of static
-    // destruction order.
+    // Leaked: handles in static locals may fire during static
+    // destruction and must still find their slots.
     static Registry *R = new Registry;
     return *R;
   }
 
-  uint32_t intern(const std::string &Name, MetricKind K) {
+  /// Out of line: inlined into count(), the lookup's register saves
+  /// would run before the enabled() test and slow the disabled path.
+  [[gnu::noinline]] Slot *intern(const std::string &Name, MetricKind K) {
     std::lock_guard<std::mutex> Lock(Mu);
-    for (uint32_t I = 0; I < Metrics.size(); ++I)
-      if (Metrics[I].second == K && Metrics[I].first == Name)
-        return I;
-    Metrics.emplace_back(Name, K);
-    RetiredCounters.push_back(0);
-    GaugeValues.push_back(0);
-    GaugeSeq.push_back(0);
-    RetiredHists.emplace_back();
-    return static_cast<uint32_t>(Metrics.size() - 1);
+    for (Slot &S : Slots)
+      if (S.Kind == K && S.Name == Name)
+        return &S;
+    return &Slots.emplace_back(Name, K);
   }
 };
-
-struct Shard {
-  std::vector<uint64_t> Counters;
-  std::vector<HistData> Hists;
-
-  Shard() {
-    Registry &R = Registry::get();
-    std::lock_guard<std::mutex> Lock(R.Mu);
-    R.Live.push_back(this);
-  }
-
-  ~Shard() {
-    // Fold this thread's totals into the retired accumulators so
-    // metrics survive worker-thread exit (SearchEngine pools are
-    // per-solve).
-    Registry &R = Registry::get();
-    std::lock_guard<std::mutex> Lock(R.Mu);
-    for (size_t I = 0; I < Counters.size(); ++I)
-      R.RetiredCounters[I] += Counters[I];
-    for (size_t I = 0; I < Hists.size(); ++I)
-      R.RetiredHists[I].add(Hists[I]);
-    R.Live.erase(std::find(R.Live.begin(), R.Live.end(), this));
-  }
-
-  uint64_t counterAt(uint32_t Id) const {
-    return Id < Counters.size() ? Counters[Id] : 0;
-  }
-  const HistData *histAt(uint32_t Id) const {
-    return Id < Hists.size() ? &Hists[Id] : nullptr;
-  }
-
-  void bumpCounter(uint32_t Id, uint64_t N) {
-    if (Id >= Counters.size())
-      Counters.resize(Id + 1, 0);
-    Counters[Id] += N;
-  }
-
-  void observe(uint32_t Id, double V) {
-    if (Id >= Hists.size())
-      Hists.resize(Id + 1);
-    HistData &H = Hists[Id];
-    ++H.Count;
-    H.Sum += V;
-    unsigned B = 0;
-    if (V > 1.0) {
-      int E = std::ilogb(V);
-      // 2^(E) < v <= 2^(E+1) lands in bucket E+1 except exact powers.
-      B = static_cast<unsigned>(E);
-      if (std::ldexp(1.0, E) < V)
-        ++B;
-      B = std::min(B, Histogram::NumBuckets - 1);
-    }
-    ++H.Buckets[B];
-  }
-
-  void zero() {
-    std::fill(Counters.begin(), Counters.end(), 0);
-    std::fill(Hists.begin(), Hists.end(), HistData());
-  }
-};
-
-Shard &localShard() {
-  thread_local Shard S;
-  return S;
-}
 
 } // namespace
 
@@ -150,41 +78,35 @@ void wdm::obs::setEnabled(bool On) {
 void wdm::obs::resetMetrics() {
   Registry &R = Registry::get();
   std::lock_guard<std::mutex> Lock(R.Mu);
-  std::fill(R.RetiredCounters.begin(), R.RetiredCounters.end(), 0);
-  std::fill(R.GaugeValues.begin(), R.GaugeValues.end(), 0.0);
-  std::fill(R.GaugeSeq.begin(), R.GaugeSeq.end(), 0);
-  std::fill(R.RetiredHists.begin(), R.RetiredHists.end(), HistData());
-  for (Shard *S : R.Live)
-    S->zero();
+  for (Slot &S : R.Slots)
+    S.zero();
 }
 
 void Counter::add(uint64_t N) {
   if (!enabled())
     return;
-  localShard().bumpCounter(Id, N);
-}
-
-void Gauge::set(double V) {
-  if (!enabled())
-    return;
-  Registry &R = Registry::get();
-  std::lock_guard<std::mutex> Lock(R.Mu);
-  R.GaugeValues[Id] = V;
-  R.GaugeSeq[Id] = R.GaugeClock.fetch_add(1) + 1;
+  S->Count.fetch_add(N, std::memory_order_relaxed);
 }
 
 void Histogram::observe(double V) {
   if (!enabled())
     return;
-  localShard().observe(Id, V);
+  unsigned B = 0;
+  if (V > 1.0) {
+    int E = std::ilogb(V);
+    // 2^(E) < v <= 2^(E+1) lands in bucket E+1 except exact powers.
+    B = static_cast<unsigned>(E);
+    if (std::ldexp(1.0, E) < V)
+      ++B;
+    B = std::min(B, NumBuckets - 1);
+  }
+  S->Count.fetch_add(1, std::memory_order_relaxed);
+  S->Sum.fetch_add(V, std::memory_order_relaxed);
+  S->Buckets[B].fetch_add(1, std::memory_order_relaxed);
 }
 
 Counter wdm::obs::counter(const std::string &Name) {
   return Counter(Registry::get().intern(Name, MetricKind::Counter));
-}
-
-Gauge wdm::obs::gauge(const std::string &Name) {
-  return Gauge(Registry::get().intern(Name, MetricKind::Gauge));
 }
 
 Histogram wdm::obs::histogram(const std::string &Name) {
@@ -202,50 +124,34 @@ json::Value wdm::obs::snapshotJson() {
   std::lock_guard<std::mutex> Lock(R.Mu);
 
   Value Counters = Value::object();
-  Value Gauges = Value::object();
   Value Hists = Value::object();
-  for (uint32_t Id = 0; Id < R.Metrics.size(); ++Id) {
-    const auto &[Name, Kind] = R.Metrics[Id];
-    switch (Kind) {
-    case MetricKind::Counter: {
-      uint64_t Total = R.RetiredCounters[Id];
-      for (const Shard *S : R.Live)
-        Total += S->counterAt(Id);
-      if (Total)
-        Counters.set(Name, Value::number(Total));
-      break;
+  for (const Slot &S : R.Slots) {
+    uint64_t Count = S.Count.load(std::memory_order_relaxed);
+    if (!Count)
+      continue;
+    if (S.Kind == MetricKind::Counter) {
+      Counters.set(S.Name, Value::number(Count));
+      continue;
     }
-    case MetricKind::Gauge:
-      if (R.GaugeSeq[Id])
-        Gauges.set(Name, Value::number(R.GaugeValues[Id]));
-      break;
-    case MetricKind::Histogram: {
-      HistData Total = R.RetiredHists[Id];
-      for (const Shard *S : R.Live)
-        if (const HistData *H = S->histAt(Id))
-          Total.add(*H);
-      if (!Total.Count)
-        break;
-      Value Buckets = Value::array();
-      for (unsigned B = 0; B < Histogram::NumBuckets; ++B) {
-        if (!Total.Buckets[B])
-          continue;
-        Value Row = Value::array();
-        Row.push(Value::number(B));
-        Row.push(Value::number(Total.Buckets[B]));
-        Buckets.push(std::move(Row));
-      }
-      Hists.set(Name, Value::object()
-                          .set("count", Value::number(Total.Count))
-                          .set("sum", Value::number(Total.Sum))
-                          .set("buckets", std::move(Buckets)));
-      break;
+    Value Buckets = Value::array();
+    for (unsigned B = 0; B < Histogram::NumBuckets; ++B) {
+      uint64_t N = S.Buckets[B].load(std::memory_order_relaxed);
+      if (!N)
+        continue;
+      Value Row = Value::array();
+      Row.push(Value::number(B));
+      Row.push(Value::number(N));
+      Buckets.push(std::move(Row));
     }
-    }
+    Hists.set(S.Name,
+              Value::object()
+                  .set("count", Value::number(Count))
+                  .set("sum", Value::number(
+                                  S.Sum.load(std::memory_order_relaxed)))
+                  .set("buckets", std::move(Buckets)));
   }
   return Value::object()
       .set("counters", std::move(Counters))
-      .set("gauges", std::move(Gauges))
       .set("histograms", std::move(Hists));
 }
 
@@ -295,13 +201,6 @@ json::Value wdm::obs::deltaJson(const json::Value &Before,
     }
   }
   Out.set("counters", std::move(Counters));
-
-  // Gauges: last value wins (a delta of an instantaneous value is the
-  // value itself).
-  if (const Value *AG = After.find("gauges"))
-    Out.set("gauges", *AG);
-  else
-    Out.set("gauges", Value::object());
 
   // Histograms: count/sum/buckets subtract member-wise.
   Value Hists = Value::object();

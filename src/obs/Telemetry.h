@@ -1,4 +1,4 @@
-//===--- Telemetry.h - Process-wide counters/gauges/histograms -*- C++ -*-===//
+//===--- Telemetry.h - Process-wide counters and histograms ----*- C++ -*-===//
 //
 // Part of the wdm project (PLDI 2019 weak-distance minimization repro).
 //
@@ -6,23 +6,24 @@
 ///
 /// \file
 /// The metric half of src/obs/: a process-wide registry of named
-/// counters, gauges, and (log2-bucketed) histograms, designed so the
-/// hot paths the search spends its life on pay nothing when telemetry
-/// is off and almost nothing when it is on:
+/// counters and (log2-bucketed) histograms that costs nothing when
+/// telemetry is off and little when it is on:
 ///
 ///  - **Off by default.** Every mutation is gated on one relaxed atomic
 ///    bool; disabled, a hook is a load + a predicted branch. Nothing in
 ///    a Report, an event log, or an exit code changes unless a caller
 ///    explicitly flips telemetry on.
-///  - **Thread-local sharding.** Each thread that touches a metric gets
-///    its own slot array; increments are plain (unsynchronized) adds to
-///    thread-local memory — no hot-path locks, no cache-line ping-pong.
-///    snapshot() merges live shards and the folded totals of exited
-///    threads under the registry mutex.
-///  - **Stable handles.** counter()/gauge()/histogram() intern by name
-///    and return handles that are cheap to keep in static locals at the
-///    instrumentation site; name-based convenience entry points exist
-///    for cold paths (per-start backend attribution).
+///  - **One shared slot per metric.** The registry owns every slot;
+///    hooks bump it with relaxed atomic adds from any thread, and a
+///    snapshot reads it under the registry mutex. Hooks fire per start,
+///    round, lowering, job or request (the busiest is one histogram
+///    observation per candidate block), never per eval, so a shared
+///    slot never contends.
+///  - **Stable handles.** counter()/histogram() intern by name and
+///    return handles that stay valid for the process lifetime, cheap to
+///    keep in static locals at the instrumentation site; name-based
+///    convenience entry points exist for cold paths (per-start backend
+///    attribution).
 ///
 /// The snapshot is a json::Value so it can ride on api::Report
 /// ("metrics" section) and the NDJSON event stream without a second
@@ -43,6 +44,7 @@ namespace wdm::obs {
 
 namespace detail {
 extern std::atomic<bool> EnabledFlag;
+struct Slot;
 } // namespace detail
 
 /// True when telemetry collection is on (process-wide). The relaxed
@@ -56,8 +58,7 @@ inline bool enabled() {
 /// turns it on.
 void setEnabled(bool On);
 
-/// Zeroes every metric (live shards and retired totals). For tests and
-/// per-run isolation.
+/// Zeroes every metric. For tests and per-run isolation.
 void resetMetrics();
 
 /// A monotonically increasing counter. Handles are stable for the
@@ -69,24 +70,13 @@ public:
 
 private:
   friend Counter counter(const std::string &Name);
-  explicit Counter(uint32_t Id) : Id(Id) {}
-  uint32_t Id;
-};
-
-/// A last-write-wins instantaneous value (e.g. resolved batch size).
-class Gauge {
-public:
-  void set(double V);
-
-private:
-  friend Gauge gauge(const std::string &Name);
-  explicit Gauge(uint32_t Id) : Id(Id) {}
-  uint32_t Id;
+  explicit Counter(detail::Slot *S) : S(S) {}
+  detail::Slot *S;
 };
 
 /// A histogram over log2 buckets of the observed value: bucket k counts
 /// observations with 2^(k-1) < v <= 2^k (bucket 0 takes v <= 1).
-/// Tracks count and sum besides the buckets, so means survive merging.
+/// Tracks count and sum besides the buckets, so means survive deltas.
 class Histogram {
 public:
   static constexpr unsigned NumBuckets = 64;
@@ -95,14 +85,13 @@ public:
 
 private:
   friend Histogram histogram(const std::string &Name);
-  explicit Histogram(uint32_t Id) : Id(Id) {}
-  uint32_t Id;
+  explicit Histogram(detail::Slot *S) : S(S) {}
+  detail::Slot *S;
 };
 
 /// Interns \p Name (idempotent) and returns its handle. Safe from any
 /// thread; intended for setup paths, not per-eval hot loops.
 Counter counter(const std::string &Name);
-Gauge gauge(const std::string &Name);
 Histogram histogram(const std::string &Name);
 
 /// Cold-path convenience: counter(Name).add(N) with the interning
@@ -110,9 +99,8 @@ Histogram histogram(const std::string &Name);
 /// static handle is awkward (dynamic names).
 void count(const std::string &Name, uint64_t N = 1);
 
-/// Merged view of every metric:
+/// Current value of every metric:
 ///   {"counters": {name: n, ...},
-///    "gauges": {name: v, ...},
 ///    "histograms": {name: {"count": n, "sum": s,
 ///                          "buckets": [[log2_upper, n], ...]}, ...}}
 /// Zero-valued counters/histograms registered but never bumped are
@@ -122,9 +110,9 @@ void count(const std::string &Name, uint64_t N = 1);
 json::Value snapshotJson();
 
 /// Member-wise numeric difference After - Before over two snapshots
-/// (counter values and histogram counts/sums/buckets subtract; gauges
-/// keep the After value; names missing in Before pass through). The
-/// per-run "metrics" section of a Report is the delta over that run.
+/// (counter values and histogram counts/sums/buckets subtract; names
+/// missing in Before pass through). The per-run "metrics" section of a
+/// Report is the delta over that run.
 json::Value deltaJson(const json::Value &Before, const json::Value &After);
 
 } // namespace wdm::obs

@@ -29,60 +29,33 @@ struct TraceEvent {
   Value Args; ///< Null when absent.
 };
 
-struct ThreadBuffer;
+using Clock = std::chrono::steady_clock;
 
-/// The process-wide collector: live thread buffers, folded events of
-/// exited threads, and the trace epoch.
+/// The process-wide collector: every recorded event, and the trace
+/// epoch.
 struct Collector {
   std::mutex Mu;
-  std::vector<ThreadBuffer *> Live;
-  std::vector<TraceEvent> Retired;
-  std::chrono::steady_clock::time_point Epoch =
-      std::chrono::steady_clock::now();
-  uint32_t NextTid = 0;
+  std::vector<TraceEvent> Events;
+  /// Clock ticks at startTrace(). Atomic because spans read it without
+  /// taking Mu.
+  std::atomic<Clock::rep> Epoch{Clock::now().time_since_epoch().count()};
+  std::atomic<uint32_t> NextTid{0};
 
   static Collector &get() {
     // Leaked for the same shutdown-order reason as the metric registry.
     static Collector *C = new Collector;
     return *C;
   }
-};
 
-struct ThreadBuffer {
-  std::vector<TraceEvent> Events;
-  uint32_t Tid;
-
-  ThreadBuffer() {
-    Collector &C = Collector::get();
-    std::lock_guard<std::mutex> Lock(C.Mu);
-    Tid = C.NextTid++;
-    C.Live.push_back(this);
-  }
-
-  ~ThreadBuffer() {
-    Collector &C = Collector::get();
-    std::lock_guard<std::mutex> Lock(C.Mu);
-    C.Retired.insert(C.Retired.end(),
-                     std::make_move_iterator(Events.begin()),
-                     std::make_move_iterator(Events.end()));
-    C.Live.erase(std::find(C.Live.begin(), C.Live.end(), this));
-  }
-
+  /// Appends \p E on the calling thread's track. A thread's track id is
+  /// assigned the first time it records an event.
   void push(TraceEvent E) {
+    thread_local const uint32_t Tid = NextTid.fetch_add(1);
     E.Tid = Tid;
-    // Buffer-append under the collector mutex only when a merge could
-    // be concurrently reading; appends are thread-local, but writeTrace
-    // walks live buffers, so guard the (rare, per-span) push.
-    Collector &C = Collector::get();
-    std::lock_guard<std::mutex> Lock(C.Mu);
+    std::lock_guard<std::mutex> Lock(Mu);
     Events.push_back(std::move(E));
   }
 };
-
-ThreadBuffer &localBuffer() {
-  thread_local ThreadBuffer B;
-  return B;
-}
 
 } // namespace
 
@@ -90,10 +63,9 @@ void wdm::obs::startTrace() {
   Collector &C = Collector::get();
   {
     std::lock_guard<std::mutex> Lock(C.Mu);
-    C.Retired.clear();
-    for (ThreadBuffer *B : C.Live)
-      B->Events.clear();
-    C.Epoch = std::chrono::steady_clock::now();
+    C.Events.clear();
+    C.Epoch.store(Clock::now().time_since_epoch().count(),
+                  std::memory_order_relaxed);
   }
   detail::TracingFlag.store(true, std::memory_order_relaxed);
 }
@@ -105,17 +77,15 @@ void wdm::obs::stopTrace() {
 void wdm::obs::clearTrace() {
   Collector &C = Collector::get();
   std::lock_guard<std::mutex> Lock(C.Mu);
-  C.Retired.clear();
-  for (ThreadBuffer *B : C.Live)
-    B->Events.clear();
+  C.Events.clear();
 }
 
 uint64_t ScopedSpan::nowUs() {
-  Collector &C = Collector::get();
+  const Clock::duration Since =
+      Clock::now().time_since_epoch() -
+      Clock::duration(Collector::get().Epoch.load(std::memory_order_relaxed));
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - C.Epoch)
-          .count());
+      std::chrono::duration_cast<std::chrono::microseconds>(Since).count());
 }
 
 void ScopedSpan::setArgs(json::Value A) {
@@ -134,7 +104,7 @@ void ScopedSpan::finish() {
   E.Dur = T1 > T0 ? T1 - T0 : 0;
   if (HaveArgs)
     E.Args = std::move(Args);
-  localBuffer().push(std::move(E));
+  Collector::get().push(std::move(E));
 }
 
 void wdm::obs::setThreadTrackName(const std::string &Name) {
@@ -144,7 +114,7 @@ void wdm::obs::setThreadTrackName(const std::string &Name) {
   E.Name = "thread_name";
   E.Ph = 'M';
   E.Args = Value::object().set("name", Value::string(Name));
-  localBuffer().push(std::move(E));
+  Collector::get().push(std::move(E));
 }
 
 void wdm::obs::instant(const char *Name) { instant(Name, Value()); }
@@ -157,18 +127,15 @@ void wdm::obs::instant(const char *Name, json::Value Args) {
   E.Ph = 'i';
   E.Ts = ScopedSpan::nowUs();
   E.Args = std::move(Args);
-  localBuffer().push(std::move(E));
+  Collector::get().push(std::move(E));
 }
 
 json::Value wdm::obs::traceJson() {
   Collector &C = Collector::get();
   std::vector<const TraceEvent *> All;
   std::lock_guard<std::mutex> Lock(C.Mu);
-  for (const TraceEvent &E : C.Retired)
+  for (const TraceEvent &E : C.Events)
     All.push_back(&E);
-  for (const ThreadBuffer *B : C.Live)
-    for (const TraceEvent &E : B->Events)
-      All.push_back(&E);
   std::stable_sort(All.begin(), All.end(),
                    [](const TraceEvent *A, const TraceEvent *B) {
                      return A->Ts < B->Ts;

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The span half of src/obs/: RAII phase spans and instant events that
-/// collect into per-thread buffers and serialize as Chrome trace-event
-/// JSON ({"traceEvents": [...]}), loadable in Perfetto / chrome://tracing.
+/// collect into one process-wide event list and serialize as Chrome
+/// trace-event JSON ({"traceEvents": [...]}), loadable in Perfetto /
+/// chrome://tracing.
 ///
 ///  - Off by default: a ScopedSpan whose lifetime starts while tracing
 ///    is off records nothing (one relaxed load in the constructor).
@@ -56,13 +57,13 @@ void stopTrace();
 /// Discards all recorded events.
 void clearTrace();
 
-/// Merges every thread's buffer and writes Chrome trace-event JSON to
-/// \p Path. Returns false on I/O failure. Collection state is
-/// unchanged (call stopTrace() first for a quiescent write).
+/// Writes every recorded event as Chrome trace-event JSON to \p Path.
+/// Returns false on I/O failure. Collection state is unchanged (call
+/// stopTrace() first for a quiescent write).
 bool writeTrace(const std::string &Path);
 
-/// The merged {"traceEvents": [...]} document (for tests and for
-/// embedding).
+/// The {"traceEvents": [...]} document, in timestamp order (for tests
+/// and for embedding).
 json::Value traceJson();
 
 /// Labels the calling thread's track in the trace (thread_name

@@ -22,15 +22,6 @@ using namespace wdm;
 using namespace wdm::vm;
 using namespace wdm::exec;
 
-// Threaded dispatch (computed goto) on GNU-compatible compilers; the
-// portable switch below compiles to an indirect jump table as well, just
-// with one shared dispatch site instead of one per handler. Define
-// WDM_VM_FORCE_SWITCH to build the portable path on any compiler.
-#if (defined(__GNUC__) || defined(__clang__)) &&                          \
-    !defined(WDM_VM_FORCE_SWITCH)
-#define WDM_VM_THREADED 1
-#endif
-
 namespace {
 
 int toFeRound(RoundingMode RM) {
@@ -201,8 +192,8 @@ Machine::runFrame(const CompiledFunction &F, size_t Base, ExecContext &Ctx,
 
   ExecResult Result;
 
-#ifdef WDM_VM_THREADED
-  // One label per Op, in exact enum order.
+  // Threaded dispatch (computed goto, a GNU extension): one label per
+  // Op, in exact enum order.
   static const void *const Lbl[] = {
       &&L_FAdd,   &&L_FSub,   &&L_FMul,   &&L_FDiv,   &&L_FRem,
       &&L_FNeg,   &&L_FAbs,   &&L_Sqrt,   &&L_Sin,    &&L_Cos,
@@ -237,23 +228,6 @@ Machine::runFrame(const CompiledFunction &F, size_t Base, ExecContext &Ctx,
   if (++Steps > MaxSteps)
     goto L_StepLimit;
   goto *Lbl[static_cast<uint8_t>(IP->Opc)];
-#else
-#define VM_CASE(op) case Op::op:
-#define VM_NEXT()                                                         \
-  {                                                                       \
-    ++IP;                                                                 \
-    break;                                                                \
-  }
-#define VM_JUMP(pc)                                                       \
-  {                                                                       \
-    IP = Code + (pc);                                                     \
-    break;                                                                \
-  }
-  for (;;) {
-    if (++Steps > MaxSteps)
-      goto L_StepLimit;
-    switch (IP->Opc) {
-#endif
 
   VM_CASE(FAdd) {
     R[IP->Dest].D = canonicalizeNaN(R[IP->A].D + R[IP->B].D);
@@ -582,11 +556,6 @@ Machine::runFrame(const CompiledFunction &F, size_t Base, ExecContext &Ctx,
       Obs->onBranch(F.Branches[Br.Dest], Taken);
     VM_JUMP(Taken ? Br.Imm : Br.Imm2);
   }
-
-#ifndef WDM_VM_THREADED
-    }
-  }
-#endif
 
 L_StepLimit:
   Result.Kind = ExecResult::Outcome::StepLimitExceeded;

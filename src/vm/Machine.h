@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The execution engine of the compiled tier: runs Bytecode.h programs
-/// with computed-goto threaded dispatch (a portable switch fallback is
-/// kept for non-GNU compilers) over untyped 64-bit registers. Semantics
-/// are bit-for-bit the interpreter's — genuine IEEE-754 binary64 machine
-/// arithmetic, the same fesetround rounding-mode switching (this TU is
-/// compiled with -frounding-math), the same step-budget and call-depth
+/// with computed-goto threaded dispatch (a GNU extension, so GCC or
+/// Clang only) over untyped 64-bit registers. Semantics are bit-for-bit
+/// the interpreter's — genuine IEEE-754 binary64 machine arithmetic,
+/// the same fesetround rounding-mode switching (this TU is compiled
+/// with -frounding-math), the same step-budget and call-depth
 /// accounting (one step per executed instruction, checked before
 /// execution), and the same ExecContext global/site state.
 ///

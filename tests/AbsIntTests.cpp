@@ -290,6 +290,47 @@ TEST(AbsIntPrecisionTest, BoundedArgsProveFiniteRanges) {
   EXPECT_EQ(absint::classifySite(FA, Op), absint::SiteVerdict::ProvedSafe);
 }
 
+TEST(AbsIntPrecisionTest, RoundingTieStaysInsideTheBounds) {
+  // x < 1 implies x + 1 <= 2, and 2 is reachable: the largest double
+  // below 1, plus 1, is a tie that rounds to 2 (the paper's Fig. 1a
+  // bug). Each corner must be evaluated once rounding down for Lo and
+  // once rounding up for Hi.
+  const double Below1 = std::nextafter(1.0, 0.0);
+  volatile double X = Below1;
+  ASSERT_EQ(X + 1.0, 2.0);
+
+  const absint::FPInterval Small = absint::FPInterval::range(-Below1, Below1);
+  const absint::FPInterval One = absint::FPInterval::point(1.0);
+  EXPECT_EQ(absint::absFAdd(Small, One).Hi, 2.0);
+  EXPECT_EQ(absint::absFSub(Small, One).Lo, -2.0);
+
+  // The same tie through the pre-pass: under the guard x < 1, the
+  // branch x + 1 < 2 can still go false.
+  ir::Module M("tie");
+  ir::IRBuilder B(M);
+  ir::Function *F = M.addFunction("f", ir::Type::Double);
+  ir::Argument *Arg = F->addArg(ir::Type::Double, "x");
+  ir::BasicBlock *Entry = F->addBlock("entry");
+  ir::BasicBlock *Guarded = F->addBlock("guarded");
+  ir::BasicBlock *Done = F->addBlock("done");
+  ir::BasicBlock *Bug = F->addBlock("bug");
+  B.setInsertAppend(Entry);
+  B.condbr(B.fcmp(ir::CmpPred::LT, Arg, B.lit(1.0)), Guarded, Done);
+  B.setInsertAppend(Guarded);
+  ir::Instruction *Y = B.fadd(Arg, B.lit(1.0));
+  ir::Instruction *Br =
+      B.condbr(B.fcmp(ir::CmpPred::LT, Y, B.lit(2.0)), Done, Bug);
+  B.setInsertAppend(Done);
+  B.ret(B.lit(0.0));
+  B.setInsertAppend(Bug);
+  B.ret(B.lit(1.0));
+
+  absint::FunctionAnalysis FA(*F);
+  ASSERT_TRUE(FA.complete());
+  EXPECT_GE(FA.factFor(Y).D.Hi, 2.0);
+  EXPECT_TRUE(FA.edgeFeasible(Br, /*TakenTrue=*/false));
+}
+
 TEST(AbsIntPrecisionTest, ShrinkStartBoxKeepsFeasibleSlices) {
   // The guard x >= 90 gates the only interesting site; slices of
   // [-100, 100] below 90 cannot take it, so the shrunk box must

@@ -774,4 +774,29 @@ TEST(EquivalenceTest, PruneModesPreserveFindings) {
   }
 }
 
+TEST(EquivalenceTest, Fig1aPathWitnessSurvivesSitePruning) {
+  // The paper's Fig. 1a bug: x = 0.9999999999999999 takes x < 1, and
+  // x + 1 rounds to 2, so x + 1 < 2 is false. The pre-pass must not
+  // call that leg infeasible: "sites" finds the same witness as "off".
+  AnalysisSpec Spec;
+  Spec.Task = TaskKind::Path;
+  Spec.Module = ModuleSource::builtin("fig1a");
+  Spec.Path = {{0, true}, {1, false}};
+  Spec.Search.Seed = 1;
+  Spec.Search.MaxEvals = 80000;
+  Spec.Search.Prune = "off";
+  Expected<Report> Off = Analyzer::analyze(Spec);
+  ASSERT_TRUE(Off.hasValue()) << Off.error();
+  ASSERT_TRUE(Off->Success);
+  Spec.Search.Prune = "sites";
+  Expected<Report> On = Analyzer::analyze(Spec);
+  ASSERT_TRUE(On.hasValue()) << On.error();
+  EXPECT_TRUE(On->Success);
+  EXPECT_NE(On->Engine, "static");
+  EXPECT_EQ(On->Evals, Off->Evals);
+  ASSERT_EQ(On->Findings.size(), 1u);
+  ASSERT_EQ(Off->Findings.size(), 1u);
+  EXPECT_EQ(On->Findings[0].Input, Off->Findings[0].Input);
+}
+
 } // namespace
