@@ -200,10 +200,11 @@ BENCHMARK(BM_PrintParseRoundTrip)->Unit(benchmark::kMicrosecond);
 
 // ---- Telemetry hook cost (src/obs/) --------------------------------------
 //
-// The instrumented hot paths (SearchEngine per-start accounting,
-// Objective::evalBatch) call these hooks unconditionally; the design bar
-// is that with telemetry off the hook is one relaxed atomic load, so a
-// traced/metered build costs nothing when nobody asked for metrics.
+// The instrumented paths (the SearchEngine's per-start accounting, the
+// execution tiers' lowering and compile counters) call these hooks
+// unconditionally; the design bar is that with telemetry off the hook is
+// one relaxed atomic load, so a traced/metered build costs nothing when
+// nobody asked for metrics.
 // --assert-obs-overhead turns that bar into an exit code against the
 // fig2 weak-distance eval (the cheapest per-sample unit of real work).
 

@@ -84,7 +84,6 @@ OverflowReport OverflowDetector::run(const Options &Opts) {
   SOpts.WildStartProb = Opts.WildStartProb;
   SOpts.VerifySolutions = false; // verification below is site-targeted
   SOpts.Threads = Opts.Threads;
-  SOpts.Batch = Opts.Batch;
   SOpts.MinOpts = MinOpts;
   SOpts.Portfolio = Opts.Portfolio;
 

@@ -77,8 +77,8 @@ public:
     /// core::SearchOptions::Threads; only effective with
     /// StartsPerRound > 1).
     unsigned Threads = 1;
-    /// Evaluation block size for the per-round search's population
-    /// backends (core::SearchOptions::Batch; 0 = auto by tier).
+    /// Ignored, like core::SearchOptions::Batch (kept because the
+    /// end-to-end benchmark assigns it).
     unsigned Batch = 0;
     /// Algorithm 3's nFP: maximum rounds before returning. 0 (the
     /// default) runs one round per site — the run-to-completion mode the

@@ -149,8 +149,6 @@ void SearchConfig::applyTo(core::SearchOptions &Opts) const {
     Opts.WildStartProb = *WildStartProb;
   if (Threads)
     Opts.Threads = *Threads;
-  if (Batch)
-    Opts.Batch = *Batch;
 }
 
 //===----------------------------------------------------------------------===//

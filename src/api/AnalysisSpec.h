@@ -96,10 +96,9 @@ struct SearchConfig {
   std::optional<double> StartHi;
   std::optional<double> WildStartProb;
   std::optional<unsigned> Threads;
-  /// Evaluation block size for the population backends (JSON "batch",
-  /// CLI --batch=). 0 = auto: each search worker adopts its evaluator's
-  /// preferred size — 32 on the VM tier, 8 on the interpreter. Results
-  /// are bit-for-bit invariant in this knob.
+  /// JSON "batch", CLI --batch=: accepted, validated and serialized, and
+  /// otherwise ignored (every backend evaluates one candidate at a time),
+  /// so old specs, job ids and resume logs stay valid.
   std::optional<unsigned> Batch;
   /// Backend portfolio by name: "basinhopping", "de", "neldermead",
   /// "powell", "random", "ulp". Empty = the paper's default

@@ -48,7 +48,6 @@ overflowOptions(const TaskContext &Ctx) {
   S.StartHi = Opts.StartHi;
   S.WildStartProb = Opts.WildStartProb;
   S.Threads = Opts.Threads;
-  S.Batch = Opts.Batch;
   S = Ctx.searchOptions(S);
   Opts.EvalsPerRound = S.MaxEvals;
   Opts.StartsPerRound = std::max(1u, S.Starts);
@@ -57,7 +56,6 @@ overflowOptions(const TaskContext &Ctx) {
   Opts.StartHi = S.StartHi;
   Opts.WildStartProb = S.WildStartProb;
   Opts.Threads = S.Threads;
-  Opts.Batch = S.Batch;
   Opts.Backend = &Ctx.primaryBackend();
   Opts.Portfolio = S.Portfolio;
   Opts.MaxRounds = Ctx.Spec.NFP;

@@ -28,9 +28,6 @@ WeakDistanceFactory::~WeakDistanceFactory() = default;
 
 void WeakDistance::evalBatch(const double *Xs, std::size_t K,
                              double *Fs) {
-  // Default: a plain lane loop (one reused argument vector), so every
-  // weak distance is batchable; the execution tiers override this with
-  // genuinely amortized paths.
   std::vector<double> X(dim());
   for (std::size_t L = 0; L < K; ++L) {
     X.assign(Xs + L * dim(), Xs + (L + 1) * dim());
@@ -176,11 +173,6 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
       Minted = Factory->make();
       Eval = Minted.get();
     }
-    // Batch = auto resolves against the evaluator's tier; since every
-    // minted evaluator shares the factory's tier, the resolution is
-    // identical at any thread count.
-    opt::MinimizeOptions SeqOpts = MinOpts;
-    SeqOpts.Batch = Opts.Batch ? Opts.Batch : Eval->preferredBatch();
     bool First = true;
     for (unsigned K = 0;
          K < Opts.Starts && Result.Evals < Opts.MaxEvals; ++K) {
@@ -191,16 +183,12 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
       opt::Objective Obj(
           [Eval](const std::vector<double> &X) { return (*Eval)(X); },
           Dim);
-      Obj.setBatchFn(
-          [Eval](const double *Xs, std::size_t NL, double *Fs) {
-            Eval->evalBatch(Xs, NL, Fs);
-          });
       Obj.MaxEvals = std::min<uint64_t>(BudgetPerStart,
                                         Opts.MaxEvals - Result.Evals);
       Obj.setRecorder(Recorder);
 
       opt::MinimizeResult MR = Tasks[K].Backend->minimize(
-          Obj, Tasks[K].Point, Tasks[K].Child, SeqOpts);
+          Obj, Tasks[K].Point, Tasks[K].Child, MinOpts);
       Result.Evals += MR.Evals;
 
       if (First || MR.F < Result.WStar) {
@@ -272,8 +260,6 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
 
   auto WorkerBody = [&](unsigned Tid) {
     WeakDistance &Eval = *Evaluators[Tid];
-    opt::MinimizeOptions WorkerOpts = MinOpts;
-    WorkerOpts.Batch = Opts.Batch ? Opts.Batch : Eval.preferredBatch();
     for (;;) {
       unsigned K = NextStart.fetch_add(1, std::memory_order_relaxed);
       if (K >= Opts.Starts)
@@ -286,16 +272,12 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
       StartOutcome &Out = Outcomes[K];
       opt::Objective Obj(
           [&Eval](const std::vector<double> &X) { return Eval(X); }, Dim);
-      Obj.setBatchFn(
-          [&Eval](const double *Xs, std::size_t NL, double *Fs) {
-            Eval.evalBatch(Xs, NL, Fs);
-          });
       Obj.MaxEvals = BudgetPerStart;
       Obj.StopHook = [&FoundIdx, K] {
         return FoundIdx.load(std::memory_order_relaxed) < K;
       };
       opt::MinimizeResult MR = Tasks[K].Backend->minimize(
-          Obj, Tasks[K].Point, Tasks[K].Child, WorkerOpts);
+          Obj, Tasks[K].Point, Tasks[K].Child, MinOpts);
       Out.Evals = MR.Evals;
       Out.F = MR.F;
       Out.X = MR.X;

@@ -102,15 +102,8 @@ struct SearchOptions {
   /// attached (recorders see samples in deterministic order only
   /// sequentially).
   unsigned Threads = 0;
-  /// Evaluation block size for the population backends (DE generations,
-  /// RandomSearch draw blocks, BasinHopping's pure-MC rounds): candidate
-  /// blocks are pushed through WeakDistance::evalBatch in chunks of this
-  /// size. 0 = auto — each worker adopts its evaluator's
-  /// preferredBatch() (32 on the compiled tier, 8 on the interpreter, 1
-  /// for native distances). Results are bit-for-bit invariant in Batch:
-  /// the batch bookkeeping consumes candidates in scalar order and clips
-  /// exactly where a scalar loop would stop, so this knob only trades
-  /// dispatch overhead for throughput.
+  /// Ignored: every backend evaluates one candidate at a time. Kept only
+  /// because the end-to-end benchmark (e2ebench/) assigns it.
   unsigned Batch = 0;
   /// Backend configuration shared by every start. When the sampling box
   /// Lo/Hi is left unset (NaN) the engine substitutes

@@ -36,18 +36,12 @@ public:
   /// Evaluates the weak distance at \p X.
   virtual double operator()(const std::vector<double> &X) = 0;
 
-  /// Evaluates \p K packed candidates (row-major, K x dim() doubles) and
-  /// writes the K values into \p Fs. Lane l's value must be bit-for-bit
-  /// what operator() would return on row l evaluated in lane order — the
-  /// batched execution tiers (vm::Machine's lockstep mode, the
-  /// interpreter's context-reusing loop) override this; the default is a
-  /// plain loop so every weak distance is batchable.
+  /// Compatibility shims with no caller in wdm: every tier and every
+  /// backend evaluates one candidate at a time through operator(). They
+  /// exist only because the end-to-end benchmark (e2ebench/) wraps weak
+  /// distances in a decorator that still overrides both; drop them with
+  /// that override. evalBatch is a plain lane loop over operator().
   virtual void evalBatch(const double *Xs, std::size_t K, double *Fs);
-
-  /// The evaluation block size this evaluator profits from: 32 for the
-  /// compiled tier, 8 for the interpreter, 1 (the default) when batching
-  /// buys nothing beyond the loop. opt-layer callers use this when the
-  /// search is configured with batch = auto.
   virtual unsigned preferredBatch() const { return 1; }
 
   virtual std::string name() const { return "weak-distance"; }

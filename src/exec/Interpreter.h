@@ -30,6 +30,7 @@
 #include "exec/RuntimeValue.h"
 #include "ir/Module.h"
 
+#include <cfenv>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,6 +66,47 @@ enum class RoundingMode : uint8_t {
   TowardZero,
   Upward,
   Downward,
+};
+
+/// RAII: installs a rounding mode for the duration of one run. The
+/// interpreter, the VM and the JIT each wrap every evaluation in one (the
+/// JIT's emitted SSE2 code honors MXCSR, which fesetround also drives).
+/// It only reads and writes the FP environment and does no arithmetic,
+/// so inlining it into a TU built without -frounding-math is safe.
+class RoundingScope {
+public:
+  explicit RoundingScope(RoundingMode RM) : Saved(std::fegetround()) {
+    // fesetround rewrites both the x87 control word and MXCSR — tens of
+    // ns per eval. In the dominant case (ambient and requested mode are
+    // both to-nearest) both writes are skippable.
+    if (Saved != feMode(RM))
+      std::fesetround(feMode(RM));
+    else
+      Saved = -1;
+  }
+  ~RoundingScope() {
+    if (Saved != -1)
+      std::fesetround(Saved);
+  }
+  RoundingScope(const RoundingScope &) = delete;
+  RoundingScope &operator=(const RoundingScope &) = delete;
+
+private:
+  static int feMode(RoundingMode RM) {
+    switch (RM) {
+    case RoundingMode::NearestEven:
+      return FE_TONEAREST;
+    case RoundingMode::TowardZero:
+      return FE_TOWARDZERO;
+    case RoundingMode::Upward:
+      return FE_UPWARD;
+    case RoundingMode::Downward:
+      return FE_DOWNWARD;
+    }
+    return FE_TONEAREST;
+  }
+
+  int Saved;
 };
 
 struct ExecOptions {

@@ -23,7 +23,11 @@ IRWeakDistance::IRWeakDistance(const Engine &E, const Function *F,
            "weak distances require dom(Prog) = F^N (Definition 2.1)");
 }
 
-double IRWeakDistance::evalStaged() {
+double IRWeakDistance::operator()(const std::vector<double> &X) {
+  assert(X.size() == F->numArgs() && "input dimension mismatch");
+  ArgBuf.resize(X.size());
+  for (size_t I = 0; I < X.size(); ++I)
+    ArgBuf[I] = RTValue::ofDouble(X[I]);
   Ctx.resetGlobals();
   Ctx.setGlobal(WVar, RTValue::ofDouble(WInit));
   Last = E.run(F, ArgBuf, Ctx, Opts);
@@ -32,25 +36,6 @@ double IRWeakDistance::evalStaged() {
   // Normal returns and traps both leave w meaningful: traps are program
   // behavior (e.g. assertion failures), not evaluation failures.
   return Ctx.getGlobal(WVar).asDouble();
-}
-
-double IRWeakDistance::operator()(const std::vector<double> &X) {
-  assert(X.size() == F->numArgs() && "input dimension mismatch");
-  ArgBuf.resize(X.size());
-  for (size_t I = 0; I < X.size(); ++I)
-    ArgBuf[I] = RTValue::ofDouble(X[I]);
-  return evalStaged();
-}
-
-void IRWeakDistance::evalBatch(const double *Xs, std::size_t K,
-                               double *Fs) {
-  const unsigned N = F->numArgs();
-  ArgBuf.resize(N);
-  for (std::size_t L = 0; L < K; ++L) {
-    for (unsigned I = 0; I < N; ++I)
-      ArgBuf[I] = RTValue::ofDouble(Xs[L * N + I]);
-    Fs[L] = evalStaged();
-  }
 }
 
 int64_t IRWeakDistance::readIntGlobal(const GlobalVar *G) const {
@@ -76,10 +61,6 @@ public:
 
   unsigned dim() const override { return W.dim(); }
   double operator()(const std::vector<double> &X) override { return W(X); }
-  void evalBatch(const double *Xs, std::size_t K, double *Fs) override {
-    W.evalBatch(Xs, K, Fs);
-  }
-  unsigned preferredBatch() const override { return W.preferredBatch(); }
   std::string name() const override { return W.name(); }
 
 private:

@@ -37,16 +37,6 @@ public:
   /// +inf, which the objective layer treats as "worst".
   double operator()(const std::vector<double> &X) override;
 
-  /// Interpreter batch mode: one lane after another through the same
-  /// ExecContext, reusing the RTValue argument buffer across lanes — the
-  /// per-evaluation allocation is gone even when the compiled tier
-  /// rejected the subject. Values are bit-for-bit the scalar ones.
-  void evalBatch(const double *Xs, std::size_t K, double *Fs) override;
-
-  /// The interpreter profits from modest blocks (argument-buffer reuse,
-  /// warm caches); the VM tier overrides with 32.
-  unsigned preferredBatch() const override { return 8; }
-
   std::string name() const override { return F->name(); }
 
   /// State of the most recent evaluation.
@@ -58,10 +48,6 @@ public:
   const exec::ExecOptions &options() const { return Opts; }
 
 private:
-  /// One evaluation: seeds w, runs the program on the arguments already
-  /// staged in ArgBuf, and returns the weak-distance value.
-  double evalStaged();
-
   const exec::Engine &E;
   const ir::Function *F;
   const ir::GlobalVar *WVar;

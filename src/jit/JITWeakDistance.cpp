@@ -10,7 +10,6 @@
 #include "support/FPUtils.h"
 
 #include <cassert>
-#include <cfenv>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -35,44 +34,6 @@ std::string wdm::jit::engineNamesForErrors() {
 }
 
 namespace {
-
-// Same duplicate the VM keeps: the scalar and batch entry points install
-// the requested mode around the whole evaluation. The emitted SSE2 code
-// honors MXCSR, which fesetround also drives, so native arithmetic
-// rounds identically to the interpreter's.
-int toFeRound(RoundingMode RM) {
-  switch (RM) {
-  case RoundingMode::NearestEven:
-    return FE_TONEAREST;
-  case RoundingMode::TowardZero:
-    return FE_TOWARDZERO;
-  case RoundingMode::Upward:
-    return FE_UPWARD;
-  case RoundingMode::Downward:
-    return FE_DOWNWARD;
-  }
-  return FE_TONEAREST;
-}
-
-class RoundingScope {
-public:
-  explicit RoundingScope(RoundingMode RM) : Saved(fegetround()) {
-    // fesetround rewrites both the x87 control word and MXCSR — tens of
-    // ns per eval. In the dominant case (ambient and requested mode are
-    // both to-nearest) both writes are skippable.
-    if (Saved != toFeRound(RM))
-      fesetround(toFeRound(RM));
-    else
-      Saved = -1;
-  }
-  ~RoundingScope() {
-    if (Saved != -1)
-      fesetround(Saved);
-  }
-
-private:
-  int Saved;
-};
 
 void pullGlobalsRaw(const ExecContext &Ctx, std::vector<uint64_t> &Raw) {
   const RTValue *GS = Ctx.globalSlots();
@@ -364,27 +325,6 @@ double JITWeakDistance::operator()(const std::vector<double> &X) {
   // Normal returns and traps both leave w meaningful (same policy as
   // instr::IRWeakDistance).
   return Ctx.globalSlots()[WIdx].asDouble();
-}
-
-void JITWeakDistance::evalBatch(const double *Xs, std::size_t K,
-                                double *Fs) {
-  if (Ctx.observer()) {
-    // Observed runs must see events in scalar evaluation order.
-    core::WeakDistance::evalBatch(Xs, K, Fs);
-    return;
-  }
-  if (K == 0)
-    return;
-  // One rounding-mode switch for the block; each lane is then exactly
-  // the scalar evaluation, so results are bit-identical by construction.
-  RoundingScope Rounding(Opts.Rounding);
-  const unsigned N = JF.VF->NumArgs;
-  for (std::size_t L = 0; L < K; ++L) {
-    runNative(Xs + L * N);
-    Fs[L] = Last.Kind == ExecResult::Outcome::StepLimitExceeded
-                ? std::numeric_limits<double>::infinity()
-                : Ctx.globalSlots()[WIdx].asDouble();
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -85,14 +85,6 @@ public:
   unsigned dim() const override { return JF.VF->NumArgs; }
   double operator()(const std::vector<double> &X) override;
 
-  /// Native batch mode: one rounding-mode switch for the whole block,
-  /// then a native run per lane (each observationally identical to the
-  /// scalar evaluation). With an observer attached the call degrades to
-  /// the scalar loop so event order is preserved, like the VM tier.
-  void evalBatch(const double *Xs, std::size_t K, double *Fs) override;
-
-  unsigned preferredBatch() const override { return 32; }
-
   std::string name() const override { return JF.VF->Source->name(); }
 
   /// State of the most recent evaluation (same contract as the VM's).

@@ -52,16 +52,13 @@ void adaptStep(double &StepBits, unsigned Accepted, unsigned Proposed) {
     StepBits = std::fmax(StepBits - 2.0, 4.0);
 }
 
-/// LocalMethod::None — pure Monte Carlo over proposals, restructured for
-/// batching: proposals come in fixed rounds of MCRound, all centered at
-/// the round-start state, harvested through Objective::evalBatch
-/// (chunked by Opts.Batch) and then Metropolis-processed in order. The
-/// round size is a constant, NOT Opts.Batch, so the chain — and
-/// therefore every result bit — is invariant in the evaluation block
-/// size; Batch only changes how many proposals reach the execution tier
-/// per call. (The speculative recentering delay versus the historical
-/// one-proposal-at-a-time chain is a deliberate, documented change; this
-/// mode's only in-tree user is the local-minimizer ablation bench.)
+/// LocalMethod::None — pure Monte Carlo over proposals in fixed rounds of
+/// MCRound, all centered at the round-start state, then evaluated and
+/// Metropolis-processed one by one. Every proposal of a round is drawn
+/// before the round's first acceptance test, and that draw order fixes
+/// every result bit. (The recentering delay versus a one-proposal-at-a-
+/// time chain is deliberate; this mode's only in-tree user is the
+/// local-minimizer ablation bench.)
 MinimizeResult pureMonteCarlo(Objective &Obj,
                               const std::vector<double> &Start, RNG &Rand,
                               const MinimizeOptions &Opts,
@@ -76,7 +73,6 @@ MinimizeResult pureMonteCarlo(Objective &Obj,
   unsigned Accepted = 0, Proposed = 0;
 
   std::vector<double> Props(static_cast<std::size_t>(MCRound) * Dim);
-  std::vector<double> Fs(MCRound);
 
   unsigned Hop = 0;
   while (Hop < Opts.Hops && !Obj.done()) {
@@ -85,26 +81,23 @@ MinimizeResult pureMonteCarlo(Objective &Obj,
       propose(Props.data() + static_cast<std::size_t>(K) * Dim, X.data(),
               Dim, StepBits, Rand);
 
-    std::size_t Used =
-        evalChunked(Obj, Props.data(), Round, Opts.Batch, Fs.data());
-    for (std::size_t K = 0; K < Used; ++K) {
+    for (std::size_t K = 0; K < Round && !Obj.done(); ++K) {
+      const double *Prop = Props.data() + K * Dim;
+      double FNew = Obj.eval(Prop);
       ++Proposed;
       ++Hop;
-      double FNew = Fs[K];
       bool Accept = FNew <= F;
       if (!Accept && Opts.Temperature > 0.0) {
         double Ratio = (F - FNew) / Opts.Temperature;
         Accept = Rand.chance(std::exp(Ratio));
       }
       if (Accept) {
-        X.assign(Props.data() + K * Dim, Props.data() + (K + 1) * Dim);
+        X.assign(Prop, Prop + Dim);
         F = FNew;
         ++Accepted;
       }
       adaptStep(StepBits, Accepted, Proposed);
     }
-    if (Used < Round)
-      break; // the objective is done mid-round
   }
   return harvest(Obj, Before);
 }

@@ -3,12 +3,10 @@
 // Part of the wdm project (PLDI 2019 weak-distance minimization repro).
 //
 // Generational DE/rand/1/bin: each generation's NP trial vectors are
-// built from the *previous* generation's population, then evaluated as
-// one block through Objective::evalBatch (chunked by Opts.Batch), then
-// selected. Deferring selection to the generation boundary is what makes
-// the evaluation batchable at all — and it makes the search trajectory
-// independent of the evaluation block size, which the batch-vs-scalar
-// identity tests assert bit-for-bit.
+// built from the *previous* generation's population, then evaluated and
+// selected one by one. Building the whole generation before any
+// selection fixes the order of the RNG draws, and with it every result
+// bit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,12 +35,11 @@ MinimizeResult DifferentialEvolution::minimize(
   auto Clip = [&](double V) { return std::fmin(std::fmax(V, Lo), Hi); };
 
   // Flat row-major population and one generation-sized trial block, both
-  // allocated once: evalBatch consumes rows straight out of these
-  // buffers, and the generation loop never reconstructs them.
+  // allocated once: rows are evaluated straight out of these buffers,
+  // and the generation loop never reconstructs them.
   std::vector<double> Pop(static_cast<std::size_t>(NP) * Dim);
   std::vector<double> Fit(NP);
   std::vector<double> Trials(static_cast<std::size_t>(NP) * Dim);
-  std::vector<double> TrialF(NP);
 
   // Initialize: the provided start plus uniform draws over the box.
   for (unsigned I = 0; I < Dim; ++I)
@@ -50,7 +47,8 @@ MinimizeResult DifferentialEvolution::minimize(
   for (unsigned P = 1; P < NP; ++P)
     for (unsigned I = 0; I < Dim; ++I)
       Pop[static_cast<std::size_t>(P) * Dim + I] = Rand.uniform(Lo, Hi);
-  evalChunked(Obj, Pop.data(), NP, Opts.Batch, Fit.data());
+  for (unsigned P = 0; P < NP && !Obj.done(); ++P)
+    Fit[P] = Obj.eval(Pop.data() + static_cast<std::size_t>(P) * Dim);
 
   while (!Obj.done()) {
     // Build the whole generation's trials from the current population.
@@ -81,14 +79,14 @@ MinimizeResult DifferentialEvolution::minimize(
       }
     }
 
-    // One block of NP evaluations; the consumed prefix is all that the
-    // budget / early stop let through.
-    std::size_t Used =
-        evalChunked(Obj, Trials.data(), NP, Opts.Batch, TrialF.data());
-    for (std::size_t P = 0; P < Used; ++P) {
-      if (TrialF[P] <= Fit[P]) {
-        std::copy_n(Trials.data() + P * Dim, Dim, Pop.data() + P * Dim);
-        Fit[P] = TrialF[P];
+    // Evaluate and select in population order, as far as the budget and
+    // the early stop let through.
+    for (std::size_t P = 0; P < NP && !Obj.done(); ++P) {
+      const double *Trial = Trials.data() + P * Dim;
+      double F = Obj.eval(Trial);
+      if (F <= Fit[P]) {
+        std::copy_n(Trial, Dim, Pop.data() + P * Dim);
+        Fit[P] = F;
       }
     }
   }

@@ -6,8 +6,6 @@
 
 #include "opt/Objective.h"
 
-#include "obs/Telemetry.h"
-
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -38,46 +36,9 @@ double Objective::eval(const std::vector<double> &X) {
   return note(X.data(), Callable(X));
 }
 
-std::size_t Objective::evalBatch(const double *Xs, std::size_t K,
-                                 double *Fs) {
-  if (K == 0 || done())
-    return 0;
-  // Budget clip first: a scalar loop would have evaluated exactly
-  // MaxEvals - Evals more candidates before done() held on the budget.
-  const uint64_t Left = MaxEvals - Evals;
-  if (K > Left)
-    K = static_cast<std::size_t>(Left);
-
-  if (wdm::obs::enabled()) {
-    static wdm::obs::Histogram BatchHist =
-        wdm::obs::histogram("opt.batch_size");
-    BatchHist.observe(static_cast<double>(K));
-  }
-
-  if (BatchCallable) {
-    // Compute the whole (clipped) block in one shot, then consume the
-    // values in scalar order. When the target (or a stop hook) fires
-    // mid-block, the tail lanes were computed but never consumed: they
-    // don't count, don't reach the recorder, and can't become the best —
-    // exactly as if they had never been evaluated.
-    BatchCallable(Xs, K, Fs);
-    for (std::size_t I = 0; I < K; ++I) {
-      Fs[I] = note(Xs + I * Dim, Fs[I]);
-      if (done())
-        return I + 1;
-    }
-    return K;
-  }
-
-  // No raw batch evaluator: a literal scalar loop (the lane is only
-  // computed once the previous lane failed to stop the search).
-  for (std::size_t I = 0; I < K; ++I) {
-    Scratch.assign(Xs + I * Dim, Xs + (I + 1) * Dim);
-    Fs[I] = note(Xs + I * Dim, Callable(Scratch));
-    if (done())
-      return I + 1;
-  }
-  return K;
+double Objective::eval(const double *X) {
+  Scratch.assign(X, X + Dim);
+  return note(X, Callable(Scratch));
 }
 
 void Objective::reset() {

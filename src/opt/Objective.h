@@ -11,11 +11,8 @@
 /// weak-distance termination rule: since W >= 0 by Def. 3.1(a), the
 /// optimization can stop the moment it reaches 0 (Section 4.4 Remark).
 ///
-/// Population backends can push whole candidate blocks through
-/// evalBatch(), which keeps every piece of bookkeeping (budget, recorder
-/// order, best-so-far, early stop) bit-for-bit equal to a scalar eval()
-/// loop: candidates are consumed in order and the batch clips at the
-/// first point a scalar loop would have stopped.
+/// Every backend evaluates one candidate at a time; population backends
+/// pass rows of their flat population through eval(const double *).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,12 +57,6 @@ public:
 class Objective {
 public:
   using Fn = std::function<double(const std::vector<double> &)>;
-  /// Raw batched evaluation: computes K values for K packed candidates
-  /// (row-major K x dim doubles). Only the function values; all
-  /// bookkeeping (counting, recording, best, NaN policy, early-stop
-  /// clipping) stays in evalBatch().
-  using BatchFn =
-      std::function<void(const double *Xs, std::size_t K, double *Fs)>;
 
   Objective(Fn Callable, unsigned Dim)
       : Callable(std::move(Callable)), Dim(Dim) {
@@ -79,21 +70,9 @@ public:
   /// treated as +inf for comparison purposes (a weak distance is >= 0 by
   /// definition, but runtime inf-inf artifacts can produce NaN).
   double eval(const std::vector<double> &X);
-
-  /// Evaluates up to \p K packed candidates (row-major K x dim) with
-  /// semantics identical to a scalar loop `while (!done()) eval(row)`:
-  /// the batch first clips to the remaining budget, then consumes
-  /// candidates in order, stopping right after the candidate on which
-  /// done() first holds — so numEvals(), the recorder stream, and the
-  /// best-so-far bits never depend on the block size. Returns the number
-  /// of candidates consumed; Fs[0..n) holds their (NaN-canonicalized)
-  /// values, entries past the consumed prefix are unspecified.
-  std::size_t evalBatch(const double *Xs, std::size_t K, double *Fs);
-
-  /// Installs the raw batch evaluator (typically forwarding to
-  /// core::WeakDistance::evalBatch). Without one, evalBatch falls back
-  /// to the scalar callable lane by lane — same results, no speedup.
-  void setBatchFn(BatchFn Fn) { BatchCallable = std::move(Fn); }
+  /// Same, for \p X pointing at dim() doubles (a row of a flat
+  /// population).
+  double eval(const double *X);
 
   uint64_t numEvals() const { return Evals; }
 
@@ -134,12 +113,11 @@ private:
   double note(const double *X, double F);
 
   Fn Callable;
-  BatchFn BatchCallable;
   unsigned Dim;
   uint64_t Evals = 0;
   std::vector<double> BestX;
   double BestF = 0;
-  /// Reused lane view for the recorder and the batch fallback loop — no
+  /// Reused argument view for row evaluations and the recorder — no
   /// per-evaluation vector churn on the hot path.
   std::vector<double> Scratch;
   SampleRecorder *Recorder = nullptr;

@@ -6,7 +6,6 @@
 
 #include "opt/Optimizer.h"
 
-#include <algorithm>
 #include <cmath>
 
 using namespace wdm::opt;
@@ -34,20 +33,4 @@ MinimizeResult wdm::opt::harvest(const Objective &Obj,
   R.Evals = Obj.numEvals() - EvalsBefore;
   R.ReachedTarget = Obj.reachedTarget();
   return R;
-}
-
-std::size_t wdm::opt::evalChunked(Objective &Obj, const double *Xs,
-                                  std::size_t N, unsigned Batch,
-                                  double *Fs) {
-  const unsigned Dim = Obj.dim();
-  const std::size_t B = Batch ? Batch : 1;
-  std::size_t Done = 0;
-  while (Done < N && !Obj.done()) {
-    std::size_t Chunk = std::min<std::size_t>(B, N - Done);
-    std::size_t Used = Obj.evalBatch(Xs + Done * Dim, Chunk, Fs + Done);
-    Done += Used;
-    if (Used < Chunk)
-      break; // evalBatch clipped: the objective is done.
-  }
-  return Done;
 }

@@ -79,16 +79,6 @@ struct MinimizeOptions {
   // Powell / NelderMead.
   double Tol = 1e-14;            ///< Relative improvement tolerance.
   double InitStep = 1.0;         ///< Initial step/simplex scale.
-
-  /// Evaluation block size for the population backends (DE generations,
-  /// RandomSearch draw blocks, BasinHopping's pure-MC proposal rounds):
-  /// candidate blocks go through Objective::evalBatch in chunks of this
-  /// size. 0 and 1 both mean scalar-sized chunks. Chunking never changes
-  /// results — the batch bookkeeping consumes candidates in scalar order
-  /// and clips at budget/target edges — so this is a pure throughput
-  /// knob. The SearchEngine resolves its auto policy (evaluator's
-  /// preferredBatch) into this field per worker.
-  unsigned Batch = 1;
 };
 
 struct MinimizeResult {
@@ -122,15 +112,6 @@ std::pair<double, double> sanitizedBox(const MinimizeOptions &Opts);
 
 /// Finalizes a MinimizeResult from the objective's best-so-far.
 MinimizeResult harvest(const Objective &Obj, uint64_t EvalsBefore);
-
-/// Feeds \p N packed candidates (row-major N x dim) through
-/// Obj.evalBatch in chunks of \p Batch (0/1 = scalar chunks), stopping
-/// as soon as the objective is done. Returns the number of candidates
-/// consumed; Fs[0..n) holds their values. Because evalBatch consumes in
-/// scalar order and clips exactly where a scalar loop would stop, the
-/// consumed prefix is invariant in Batch.
-std::size_t evalChunked(Objective &Obj, const double *Xs, std::size_t N,
-                        unsigned Batch, double *Fs);
 
 } // namespace wdm::opt
 

@@ -6,8 +6,6 @@
 
 #include "opt/RandomSearch.h"
 
-#include <algorithm>
-
 using namespace wdm::opt;
 
 MinimizeResult RandomSearch::minimize(Objective &Obj,
@@ -25,21 +23,12 @@ MinimizeResult RandomSearch::minimize(Objective &Obj,
 
   Obj.eval(Start);
 
-  // Draw candidates in blocks and push each block through evalBatch. The
-  // draws never depend on evaluation results, so candidate i is the same
-  // double regardless of the block size — and the batch bookkeeping clips
-  // consumption exactly where the scalar loop would have stopped.
-  const unsigned B = std::max(1u, Opts.Batch);
-  std::vector<double> Block(static_cast<std::size_t>(B) * Dim);
-  std::vector<double> Fs(B);
+  std::vector<double> X(Dim);
   while (!Obj.done()) {
-    for (unsigned K = 0; K < B; ++K) {
-      bool Boxed = Rand.chance(0.5);
-      double *X = Block.data() + static_cast<std::size_t>(K) * Dim;
-      for (unsigned I = 0; I < Dim; ++I)
-        X[I] = Boxed ? Rand.uniform(Lo, Hi) : Rand.anyFiniteDouble();
-    }
-    Obj.evalBatch(Block.data(), B, Fs.data());
+    bool Boxed = Rand.chance(0.5);
+    for (unsigned I = 0; I < Dim; ++I)
+      X[I] = Boxed ? Rand.uniform(Lo, Hi) : Rand.anyFiniteDouble();
+    Obj.eval(X);
   }
   return harvest(Obj, Before);
 }

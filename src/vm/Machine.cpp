@@ -15,7 +15,6 @@
 #include "support/FPUtils.h"
 
 #include <cassert>
-#include <cfenv>
 #include <cmath>
 
 using namespace wdm;
@@ -23,43 +22,6 @@ using namespace wdm::vm;
 using namespace wdm::exec;
 
 namespace {
-
-int toFeRound(RoundingMode RM) {
-  switch (RM) {
-  case RoundingMode::NearestEven:
-    return FE_TONEAREST;
-  case RoundingMode::TowardZero:
-    return FE_TOWARDZERO;
-  case RoundingMode::Upward:
-    return FE_UPWARD;
-  case RoundingMode::Downward:
-    return FE_DOWNWARD;
-  }
-  return FE_TONEAREST;
-}
-
-/// RAII: installs a rounding mode for the duration of a run (identical to
-/// the interpreter's scope; duplicated because both live in anonymous
-/// namespaces of -frounding-math TUs).
-class RoundingScope {
-public:
-  explicit RoundingScope(RoundingMode RM) : Saved(fegetround()) {
-    // fesetround rewrites both the x87 control word and MXCSR — tens of
-    // ns per eval. In the dominant case (ambient and requested mode are
-    // both to-nearest) both writes are skippable.
-    if (Saved != toFeRound(RM))
-      fesetround(toFeRound(RM));
-    else
-      Saved = -1;
-  }
-  ~RoundingScope() {
-    if (Saved != -1)
-      fesetround(Saved);
-  }
-
-private:
-  int Saved;
-};
 
 /// The arithmetic of a FusedGRmwD superinstruction — exactly the fused
 /// source opcode's (this TU is -frounding-math, like the unfused path).
@@ -565,571 +527,4 @@ L_StepLimit:
 #undef VM_CASE
 #undef VM_NEXT
 #undef VM_JUMP
-}
-
-//===----------------------------------------------------------------------===//
-// Batched (lockstep) execution
-//===----------------------------------------------------------------------===//
-
-void Machine::runBatch(const CompiledFunction &F, const double *Xs,
-                       size_t K, unsigned WatchSlot, double WatchInit,
-                       ExecContext &Ctx, const ExecOptions &Opts,
-                       LaneOutcome *Out) {
-  assert(F.Ok && "batch-running a rejected function");
-  assert(!Ctx.observer() &&
-         "batched runs are observer-free; observed callers run scalar");
-  if (K == 0)
-    return;
-  // One rounding-mode switch for the whole block — the per-evaluation
-  // fesetround pair is part of what batching amortizes away.
-  RoundingScope Rounding(Opts.Rounding);
-
-  // Per-lane global columns, seeded from the context's reset state. The
-  // declared type of each slot is fixed (the lowering specializes
-  // GLoadD/GLoadI by it), so the columns hold raw 64-bit payloads.
-  Ctx.resetGlobals();
-  RTValue *const GS = Ctx.globalSlots();
-  const size_t NG = Ctx.module().numGlobals();
-  assert(WatchSlot < NG && "watched slot outside the module's globals");
-  BGlobType.resize(NG);
-  BGlob.resize(NG * K);
-  for (size_t G = 0; G < NG; ++G) {
-    BGlobType[G] = GS[G].type();
-    Reg R0;
-    R0.U = 0;
-    switch (GS[G].type()) {
-    case ir::Type::Double:
-      R0.D = GS[G].asDouble();
-      break;
-    case ir::Type::Int:
-      R0.I = GS[G].asInt();
-      break;
-    case ir::Type::Bool:
-      R0.I = GS[G].asBool() ? 1 : 0;
-      break;
-    case ir::Type::Void:
-      break;
-    }
-    for (size_t L = 0; L < K; ++L)
-      BGlob[G * K + L] = R0;
-  }
-  for (size_t L = 0; L < K; ++L)
-    BGlob[static_cast<size_t>(WatchSlot) * K + L].D = WatchInit;
-
-  // The struct-of-arrays frame: [args][consts][results][slots] columns,
-  // K lanes wide. Zero-fill covers the alloca slot registers.
-  Reg Zero;
-  Zero.U = 0;
-  BStack.assign(static_cast<size_t>(F.NumRegs) * K, Zero);
-  for (unsigned A = 0; A < F.NumArgs; ++A)
-    for (size_t L = 0; L < K; ++L)
-      BStack[static_cast<size_t>(A) * K + L].D = Xs[L * F.NumArgs + A];
-  for (unsigned C = 0; C < F.NumConsts; ++C) {
-    Reg V;
-    V.U = F.ConstBits[C];
-    for (size_t L = 0; L < K; ++L)
-      BStack[static_cast<size_t>(F.NumArgs + C) * K + L] = V;
-  }
-
-  BSteps.assign(K, 0);
-  BLanes.resize(K);
-  for (size_t L = 0; L < K; ++L)
-    BLanes[L] = static_cast<uint32_t>(L);
-  BScratch.resize(K);
-
-  const uint64_t MaxSteps = Opts.MaxSteps;
-  const uint8_t *const Dis = Ctx.siteDisabledTable().data();
-  const int64_t NDis =
-      static_cast<int64_t>(Ctx.siteDisabledTable().size());
-  const Inst *const Code = F.Code.data();
-  Reg *const BS = BStack.data();
-
-  auto Retire = [&](size_t L, ExecResult::Outcome Kind, double W) {
-    Out[L].Kind = Kind;
-    Out[L].Steps = BSteps[L];
-    Out[L].Watched = W;
-  };
-
-  // Typed sync of one lane's global column into / out of the context —
-  // the bridge to the scalar paths (per-lane calls, divergence finish).
-  auto PushGlobals = [&](size_t L) {
-    for (size_t G = 0; G < NG; ++G) {
-      const Reg V = BGlob[G * K + L];
-      switch (BGlobType[G]) {
-      case ir::Type::Double:
-        GS[G] = RTValue::ofDouble(V.D);
-        break;
-      case ir::Type::Int:
-        GS[G] = RTValue::ofInt(V.I);
-        break;
-      case ir::Type::Bool:
-        GS[G] = RTValue::ofBool(V.I != 0);
-        break;
-      case ir::Type::Void:
-        break;
-      }
-    }
-  };
-  auto PullGlobals = [&](size_t L) {
-    for (size_t G = 0; G < NG; ++G) {
-      Reg &V = BGlob[G * K + L];
-      switch (BGlobType[G]) {
-      case ir::Type::Double:
-        V.D = GS[G].asDouble();
-        break;
-      case ir::Type::Int:
-        V.I = GS[G].asInt();
-        break;
-      case ir::Type::Bool:
-        V.I = GS[G].asBool() ? 1 : 0;
-        break;
-      case ir::Type::Void:
-        break;
-      }
-    }
-  };
-
-// Per-lane register / global column accessors. FOR_GROUP iterates the
-// current group's contiguous span [B, E) of BLanes; LANE is the lane id
-// at the loop position.
-#define FOR_GROUP for (uint32_t J = B; J < E; ++J)
-#define LANE (BLanes[J])
-#define BREG(Idx) BS[static_cast<size_t>(Idx) * K + LANE]
-#define BGLOB(Slot) BGlob[static_cast<size_t>(Slot) * K + LANE]
-
-  // Group scheduler: each group is a span of BLanes sharing one pc.
-  // Divergent branches split the span in place (taken lanes first) and
-  // queue the not-taken half; queued groups are disjoint spans, so the
-  // stack never exceeds K-1 entries and nothing is copied but lane ids.
-  struct Seg {
-    size_t Pc;
-    uint32_t Begin, End;
-  };
-  std::vector<Seg> Work;
-
-  size_t Pc = 0;
-  uint32_t B = 0, E = static_cast<uint32_t>(K);
-  for (;;) {
-    while (B < E) {
-    const Inst &I = Code[Pc];
-
-    // One step per lane per executed instruction, checked before
-    // execution — the scalar accounting, lanewise. Lanes that hit the
-    // limit retire and the span compacts around them.
-    {
-      uint32_t W = B;
-      FOR_GROUP {
-        const uint32_t L = LANE;
-        if (++BSteps[L] > MaxSteps)
-          Retire(L, ExecResult::Outcome::StepLimitExceeded, 0);
-        else
-          BLanes[W++] = L;
-      }
-      E = W;
-      if (B == E)
-        break;
-    }
-
-    switch (I.Opc) {
-    case Op::FAdd:
-      FOR_GROUP BREG(I.Dest).D =
-          canonicalizeNaN(BREG(I.A).D + BREG(I.B).D);
-      ++Pc;
-      break;
-    case Op::FSub:
-      FOR_GROUP BREG(I.Dest).D =
-          canonicalizeNaN(BREG(I.A).D - BREG(I.B).D);
-      ++Pc;
-      break;
-    case Op::FMul:
-      FOR_GROUP BREG(I.Dest).D =
-          canonicalizeNaN(BREG(I.A).D * BREG(I.B).D);
-      ++Pc;
-      break;
-    case Op::FDiv:
-      FOR_GROUP BREG(I.Dest).D =
-          canonicalizeNaN(BREG(I.A).D / BREG(I.B).D);
-      ++Pc;
-      break;
-    case Op::FRem:
-      FOR_GROUP BREG(I.Dest).D =
-          canonicalizeNaN(std::fmod(BREG(I.A).D, BREG(I.B).D));
-      ++Pc;
-      break;
-    case Op::FNeg:
-      FOR_GROUP BREG(I.Dest).D = canonicalizeNaN(-BREG(I.A).D);
-      ++Pc;
-      break;
-    case Op::FAbs:
-      FOR_GROUP BREG(I.Dest).D = canonicalizeNaN(std::fabs(BREG(I.A).D));
-      ++Pc;
-      break;
-    case Op::Sqrt:
-      FOR_GROUP BREG(I.Dest).D = canonicalizeNaN(std::sqrt(BREG(I.A).D));
-      ++Pc;
-      break;
-    case Op::Sin:
-      FOR_GROUP BREG(I.Dest).D = canonicalizeNaN(std::sin(BREG(I.A).D));
-      ++Pc;
-      break;
-    case Op::Cos:
-      FOR_GROUP BREG(I.Dest).D = canonicalizeNaN(std::cos(BREG(I.A).D));
-      ++Pc;
-      break;
-    case Op::Tan:
-      FOR_GROUP BREG(I.Dest).D = canonicalizeNaN(std::tan(BREG(I.A).D));
-      ++Pc;
-      break;
-    case Op::Exp:
-      FOR_GROUP BREG(I.Dest).D = canonicalizeNaN(std::exp(BREG(I.A).D));
-      ++Pc;
-      break;
-    case Op::Log:
-      FOR_GROUP BREG(I.Dest).D = canonicalizeNaN(std::log(BREG(I.A).D));
-      ++Pc;
-      break;
-    case Op::Pow:
-      FOR_GROUP BREG(I.Dest).D =
-          canonicalizeNaN(std::pow(BREG(I.A).D, BREG(I.B).D));
-      ++Pc;
-      break;
-    case Op::FMin:
-      FOR_GROUP BREG(I.Dest).D =
-          canonicalizeNaN(std::fmin(BREG(I.A).D, BREG(I.B).D));
-      ++Pc;
-      break;
-    case Op::FMax:
-      FOR_GROUP BREG(I.Dest).D =
-          canonicalizeNaN(std::fmax(BREG(I.A).D, BREG(I.B).D));
-      ++Pc;
-      break;
-    case Op::Floor:
-      FOR_GROUP BREG(I.Dest).D = canonicalizeNaN(std::floor(BREG(I.A).D));
-      ++Pc;
-      break;
-    case Op::FCmpEQ:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).D == BREG(I.B).D;
-      ++Pc;
-      break;
-    case Op::FCmpNE:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).D != BREG(I.B).D;
-      ++Pc;
-      break;
-    case Op::FCmpLT:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).D < BREG(I.B).D;
-      ++Pc;
-      break;
-    case Op::FCmpLE:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).D <= BREG(I.B).D;
-      ++Pc;
-      break;
-    case Op::FCmpGT:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).D > BREG(I.B).D;
-      ++Pc;
-      break;
-    case Op::FCmpGE:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).D >= BREG(I.B).D;
-      ++Pc;
-      break;
-    case Op::ICmpEQ:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).I == BREG(I.B).I;
-      ++Pc;
-      break;
-    case Op::ICmpNE:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).I != BREG(I.B).I;
-      ++Pc;
-      break;
-    case Op::ICmpLT:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).I < BREG(I.B).I;
-      ++Pc;
-      break;
-    case Op::ICmpLE:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).I <= BREG(I.B).I;
-      ++Pc;
-      break;
-    case Op::ICmpGT:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).I > BREG(I.B).I;
-      ++Pc;
-      break;
-    case Op::ICmpGE:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).I >= BREG(I.B).I;
-      ++Pc;
-      break;
-    case Op::IAdd:
-      FOR_GROUP BREG(I.Dest).I =
-          static_cast<int64_t>(BREG(I.A).U + BREG(I.B).U);
-      ++Pc;
-      break;
-    case Op::ISub:
-      FOR_GROUP BREG(I.Dest).I =
-          static_cast<int64_t>(BREG(I.A).U - BREG(I.B).U);
-      ++Pc;
-      break;
-    case Op::IMul:
-      FOR_GROUP BREG(I.Dest).I =
-          static_cast<int64_t>(BREG(I.A).U * BREG(I.B).U);
-      ++Pc;
-      break;
-    case Op::IAnd:
-    case Op::BAnd:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).I & BREG(I.B).I;
-      ++Pc;
-      break;
-    case Op::IOr:
-    case Op::BOr:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).I | BREG(I.B).I;
-      ++Pc;
-      break;
-    case Op::IXor:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).I ^ BREG(I.B).I;
-      ++Pc;
-      break;
-    case Op::IShl:
-      FOR_GROUP BREG(I.Dest).I =
-          static_cast<int64_t>(BREG(I.A).U << (BREG(I.B).U & 63));
-      ++Pc;
-      break;
-    case Op::ILShr:
-      FOR_GROUP BREG(I.Dest).I =
-          static_cast<int64_t>(BREG(I.A).U >> (BREG(I.B).U & 63));
-      ++Pc;
-      break;
-    case Op::BNot:
-      FOR_GROUP BREG(I.Dest).I = BREG(I.A).I ^ 1;
-      ++Pc;
-      break;
-    case Op::SIToFP:
-      FOR_GROUP BREG(I.Dest).D = static_cast<double>(BREG(I.A).I);
-      ++Pc;
-      break;
-    case Op::FPToSI:
-      FOR_GROUP BREG(I.Dest).I = saturatingFPToSI(BREG(I.A).D);
-      ++Pc;
-      break;
-    case Op::HighWord:
-      FOR_GROUP BREG(I.Dest).I =
-          static_cast<int64_t>(highWord(BREG(I.A).D));
-      ++Pc;
-      break;
-    case Op::UlpDiff:
-      FOR_GROUP BREG(I.Dest).D =
-          ulpDistanceAsDouble(BREG(I.A).D, BREG(I.B).D);
-      ++Pc;
-      break;
-    case Op::Select:
-      FOR_GROUP BREG(I.Dest).U =
-          BREG(I.A).I ? BREG(I.B).U : BREG(I.C).U;
-      ++Pc;
-      break;
-    case Op::SlotAddr:
-      FOR_GROUP BREG(I.Dest).I = I.Imm;
-      ++Pc;
-      break;
-    case Op::SlotLoad:
-      FOR_GROUP BREG(I.Dest).U = BREG(I.Imm2).U;
-      ++Pc;
-      break;
-    case Op::SlotStore:
-      FOR_GROUP BREG(I.Imm2).U = BREG(I.A).U;
-      ++Pc;
-      break;
-    case Op::GLoadD:
-      FOR_GROUP BREG(I.Dest).D = BGLOB(I.Imm).D;
-      ++Pc;
-      break;
-    case Op::GLoadI:
-      FOR_GROUP BREG(I.Dest).I = BGLOB(I.Imm).I;
-      ++Pc;
-      break;
-    case Op::GStoreD:
-      FOR_GROUP BGLOB(I.Imm).D = BREG(I.A).D;
-      ++Pc;
-      break;
-    case Op::GStoreI:
-      FOR_GROUP BGLOB(I.Imm).I = BREG(I.A).I;
-      ++Pc;
-      break;
-    case Op::SiteEnabled: {
-      const int64_t Id = I.Imm;
-      const int64_t En = (Id < 0 || Id >= NDis) ? 1 : (Dis[Id] ? 0 : 1);
-      FOR_GROUP BREG(I.Dest).I = En;
-      ++Pc;
-      break;
-    }
-    case Op::FusedGRmwD: {
-      uint32_t W = B;
-      FOR_GROUP {
-        const uint32_t L = LANE;
-        if (BSteps[L] + 2 > MaxSteps) {
-          BSteps[L] += (BSteps[L] + 1 > MaxSteps) ? 1 : 2;
-          Retire(L, ExecResult::Outcome::StepLimitExceeded, 0);
-          continue;
-        }
-        BSteps[L] += 2;
-        Reg &GW = BGLOB(I.Imm);
-        BREG(I.Dest).D = GW.D;
-        const double V = canonicalizeNaN(fusedEval(
-            static_cast<FusedFOp>(I.Imm2), BREG(I.A).D, BREG(I.B).D));
-        BREG(I.C).D = V;
-        GW.D = V;
-        BLanes[W++] = L;
-      }
-      E = W;
-      Pc += 3;
-      break;
-    }
-    case Op::FusedFCmpBr: {
-      // The generic lane-step charge above covered the compare; the
-      // condbr costs one more per lane, checked at its own virtual
-      // boundary (over-limit lanes retire with the compare result
-      // already written, exactly like an unfused run).
-      FOR_GROUP BREG(I.Dest).I = fusedCmpEval(
-          static_cast<FusedCmp>(I.Imm2), BREG(I.A).D, BREG(I.B).D);
-      {
-        uint32_t W = B;
-        FOR_GROUP {
-          const uint32_t L = LANE;
-          if (++BSteps[L] > MaxSteps)
-            Retire(L, ExecResult::Outcome::StepLimitExceeded, 0);
-          else
-            BLanes[W++] = L;
-        }
-        E = W;
-        if (B == E)
-          break;
-      }
-      // Then the CondBr partition, reading the just-written compare
-      // result; the fused-away condbr at pc+1 carries the targets.
-      const Inst &Br = Code[Pc + 1];
-      uint32_t W = B, NumNot = 0;
-      FOR_GROUP {
-        const uint32_t L = LANE;
-        if (BS[static_cast<size_t>(I.Dest) * K + L].I != 0)
-          BLanes[W++] = L;
-        else
-          BScratch[NumNot++] = L;
-      }
-      const uint32_t NumTaken = W - B;
-      for (uint32_t N = 0; N < NumNot; ++N)
-        BLanes[W++] = BScratch[N];
-      if (NumNot == 0) {
-        Pc = static_cast<size_t>(Br.Imm);
-        break;
-      }
-      if (NumTaken == 0) {
-        Pc = static_cast<size_t>(Br.Imm2);
-        break;
-      }
-      Work.push_back({static_cast<size_t>(Br.Imm2), B + NumTaken, E});
-      E = B + NumTaken;
-      Pc = static_cast<size_t>(Br.Imm);
-      break;
-    }
-    case Op::Call: {
-      // Calls leave lockstep lane by lane: each lane of the group runs
-      // the callee on the scalar stack against its own global column.
-      const CompiledFunction &Callee = CM.Functions[I.Imm2];
-      const uint16_t *ArgRegs = F.CallArgPool.data() + I.Imm;
-      uint32_t W = B;
-      FOR_GROUP {
-        const uint32_t L = LANE;
-        if (1 >= Opts.MaxCallDepth) {
-          Retire(L, ExecResult::Outcome::StepLimitExceeded, 0);
-          continue;
-        }
-        PushGlobals(L);
-        if (Stack.size() < Callee.NumRegs)
-          Stack.resize(std::max<size_t>(Callee.NumRegs, 256));
-        for (unsigned A = 0; A < Callee.NumArgs; ++A)
-          Stack[A].U = BREG(ArgRegs[A]).U;
-        initFrame(Callee, 0);
-        ExecResult Sub = runFrame(Callee, 0, Ctx, Opts, BSteps[L], 1);
-        PullGlobals(L); // the callee may have stored globals
-        if (!Sub.ok()) {
-          Retire(L, Sub.Kind,
-                 Sub.Kind == ExecResult::Outcome::Trapped
-                     ? BGLOB(WatchSlot).D
-                     : 0);
-          continue;
-        }
-        switch (Callee.RetType) {
-        case ir::Type::Double:
-          BREG(I.Dest).D = Sub.ReturnValue.asDouble();
-          break;
-        case ir::Type::Int:
-          BREG(I.Dest).I = Sub.ReturnValue.asInt();
-          break;
-        case ir::Type::Bool:
-          BREG(I.Dest).I = Sub.ReturnValue.asBool() ? 1 : 0;
-          break;
-        case ir::Type::Void:
-          break;
-        }
-        BLanes[W++] = L;
-      }
-      E = W;
-      ++Pc;
-      break;
-    }
-    case Op::Jmp:
-      Pc = static_cast<size_t>(I.Imm);
-      break;
-    case Op::CondBr: {
-      // Stable in-place partition: taken lanes keep the front of the
-      // span, not-taken lanes stage through the scratch buffer.
-      uint32_t W = B, NumNot = 0;
-      FOR_GROUP {
-        const uint32_t L = LANE;
-        if (BS[static_cast<size_t>(I.A) * K + L].I != 0)
-          BLanes[W++] = L;
-        else
-          BScratch[NumNot++] = L;
-      }
-      const uint32_t NumTaken = W - B;
-      for (uint32_t N = 0; N < NumNot; ++N)
-        BLanes[W++] = BScratch[N];
-      if (NumNot == 0) {
-        Pc = static_cast<size_t>(I.Imm);
-        break;
-      }
-      if (NumTaken == 0) {
-        Pc = static_cast<size_t>(I.Imm2);
-        break;
-      }
-      // Divergence: the not-taken half resumes in lockstep later.
-      Work.push_back(
-          {static_cast<size_t>(I.Imm2), B + NumTaken, E});
-      E = B + NumTaken;
-      Pc = static_cast<size_t>(I.Imm);
-      break;
-    }
-    case Op::RetD:
-    case Op::RetI:
-    case Op::RetB:
-    case Op::RetVoid:
-      FOR_GROUP Retire(LANE, ExecResult::Outcome::Ok, BGLOB(WatchSlot).D);
-      E = B; // the whole group is done
-      break;
-    case Op::Trap:
-      // Traps leave w meaningful — same policy as the scalar driver.
-      FOR_GROUP Retire(LANE, ExecResult::Outcome::Trapped,
-                       BGLOB(WatchSlot).D);
-      E = B;
-      break;
-    }
-    }
-
-    if (Work.empty())
-      break;
-    const Seg S = Work.back();
-    Work.pop_back();
-    Pc = S.Pc;
-    B = S.Begin;
-    E = S.End;
-  }
-
-#undef BREG
-#undef BGLOB
-#undef LANE
-#undef FOR_GROUP
 }

@@ -39,17 +39,6 @@
 
 namespace wdm::vm {
 
-/// One lane's outcome of a batched run (Machine::runBatch): the result
-/// kind, the lane's exact step count (bit-for-bit the scalar run's), and
-/// the value of the watched global slot at lane end (meaningful for Ok
-/// and Trapped lanes — the weak-distance policy; unspecified on step
-/// limit, where the caller substitutes +inf anyway).
-struct LaneOutcome {
-  exec::ExecResult::Outcome Kind = exec::ExecResult::Outcome::Ok;
-  uint64_t Steps = 0;
-  double Watched = 0;
-};
-
 class Machine {
 public:
   /// \p CM must outlive the machine (the factory owns it).
@@ -69,31 +58,6 @@ public:
                        size_t NumArgs, exec::ExecContext &Ctx,
                        const exec::ExecOptions &Opts = {});
 
-  /// Batched weak-distance driver: executes \p F once per lane over the
-  /// K packed input rows (row-major K x NumArgs doubles), each lane
-  /// observationally identical to
-  ///   Ctx.resetGlobals();
-  ///   Ctx.globalSlots()[WatchSlot] = WatchInit;
-  ///   run(F, row l);
-  ///   Out[l].Watched = globalSlots()[WatchSlot];
-  /// but executed in lockstep: one struct-of-arrays frame holds all K
-  /// lanes (per-lane register and global columns), and each straight-line
-  /// opcode dispatches once and iterates the lanes of the current group.
-  /// Lanes fall out of lockstep only where they must — a step-limited
-  /// lane retires in place, a call runs per lane on the scalar stack,
-  /// and a *divergent* conditional branch splits the group in two: the
-  /// taken lanes continue in lockstep immediately, the others are queued
-  /// and resume in lockstep from their own target (degrading, in the
-  /// worst case, to per-lane stepping through the same engine). Requires
-  /// Ctx.observer() == null (callers fall back to scalar evaluation for
-  /// observed runs — batch lane interleaving would reorder observer
-  /// events); leaves Ctx's global values unspecified (some lane's end
-  /// state).
-  void runBatch(const CompiledFunction &F, const double *Xs, size_t K,
-                unsigned WatchSlot, double WatchInit,
-                exec::ExecContext &Ctx, const exec::ExecOptions &Opts,
-                LaneOutcome *Out);
-
 private:
   /// One untyped 64-bit frame register.
   union Reg {
@@ -112,18 +76,6 @@ private:
 
   const CompiledModule &CM;
   std::vector<Reg> Stack;
-
-  // Batch-mode state, member-owned so repeated runBatch calls reuse the
-  // allocations. BStack/BGlob are column-major over lanes:
-  // BStack[reg * K + lane], BGlob[slot * K + lane]. BLanes holds the
-  // lane ids of every in-flight group as disjoint contiguous spans
-  // (groups split in place at divergent branches, via BScratch).
-  std::vector<Reg> BStack;
-  std::vector<Reg> BGlob;
-  std::vector<ir::Type> BGlobType;
-  std::vector<uint64_t> BSteps;
-  std::vector<uint32_t> BLanes;
-  std::vector<uint32_t> BScratch;
 };
 
 } // namespace wdm::vm

@@ -68,26 +68,6 @@ double VMWeakDistance::operator()(const std::vector<double> &X) {
   return Ctx.globalSlots()[WIdx].asDouble();
 }
 
-void VMWeakDistance::evalBatch(const double *Xs, std::size_t K,
-                               double *Fs) {
-  if (Ctx.observer()) {
-    // Observed runs must see events in scalar evaluation order.
-    core::WeakDistance::evalBatch(Xs, K, Fs);
-    return;
-  }
-  Lanes.resize(K);
-  Mach.runBatch(F, Xs, K, WIdx, WInit, Ctx, Opts, Lanes.data());
-  for (std::size_t L = 0; L < K; ++L)
-    Fs[L] = Lanes[L].Kind == ExecResult::Outcome::StepLimitExceeded
-                ? std::numeric_limits<double>::infinity()
-                : Lanes[L].Watched;
-  if (K) {
-    Last = ExecResult();
-    Last.Kind = Lanes[K - 1].Kind;
-    Last.Steps = Lanes[K - 1].Steps;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // VMWeakDistanceFactory
 //===----------------------------------------------------------------------===//

@@ -60,21 +60,9 @@ public:
   unsigned dim() const override { return F.NumArgs; }
   double operator()(const std::vector<double> &X) override;
 
-  /// Compiled batch mode: the whole block runs through the Machine's
-  /// lockstep tier (one frame of K lanes, one rounding-mode switch, one
-  /// dispatch per opcode). Values are bit-for-bit the scalar ones; when
-  /// an observer is attached to the context the call quietly degrades
-  /// to the scalar loop so observer event order is preserved.
-  void evalBatch(const double *Xs, std::size_t K, double *Fs) override;
-
-  /// The compiled tier's sweet spot (search.batch = auto resolves here).
-  unsigned preferredBatch() const override { return 32; }
-
   std::string name() const override { return F.Source->name(); }
 
-  /// State of the most recent evaluation. After evalBatch this carries
-  /// the last lane's outcome kind and step count (no trap details — the
-  /// batch tier does not materialize messages).
+  /// State of the most recent evaluation.
   const exec::ExecResult &lastResult() const { return Last; }
   exec::ExecContext &context() { return Ctx; }
 
@@ -86,7 +74,6 @@ private:
   Machine Mach;
   exec::ExecOptions Opts;
   exec::ExecResult Last;
-  std::vector<LaneOutcome> Lanes; ///< Reused across evalBatch calls.
 };
 
 /// Drop-in replacement for instr::IRWeakDistanceFactory that mints

@@ -171,6 +171,26 @@ TEST(SpecTest, JsonRoundTripAllFields) {
 
   // Serialize -> parse -> serialize is a fixed point.
   EXPECT_EQ(Back->toJsonText(), Text);
+
+  // "batch" round-trips but is otherwise ignored: with the population
+  // backends, a spec with and without it gives the same deterministic
+  // report.
+  AnalysisSpec Plain;
+  Plain.Task = TaskKind::Boundary;
+  Plain.Module = ModuleSource::builtin("fig2");
+  Plain.Search.Seed = 23;
+  Plain.Search.MaxEvals = 20'000;
+  Plain.Search.Starts = 4;
+  Plain.Search.Threads = 2;
+  Plain.Search.Backends = {"de", "random"};
+  AnalysisSpec Batched = Plain;
+  Batched.Search.Batch = 16;
+  Expected<Report> RP = Analyzer::analyze(Plain);
+  Expected<Report> RB = Analyzer::analyze(Batched);
+  ASSERT_TRUE(RP.hasValue()) << RP.error();
+  ASSERT_TRUE(RB.hasValue()) << RB.error();
+  EXPECT_EQ(deterministicReportJson(RP->toJson()).dump(),
+            deterministicReportJson(RB->toJson()).dump());
 }
 
 TEST(SpecTest, EngineFieldDefaultsAndValidation) {

@@ -24,6 +24,8 @@
 #include "jit/JITWeakDistance.h"
 #include "obs/Telemetry.h"
 #include "opt/BasinHopping.h"
+#include "opt/DifferentialEvolution.h"
+#include "opt/RandomSearch.h"
 #include "subjects/SinModel.h"
 #include "support/FPUtils.h"
 #include "support/RNG.h"
@@ -37,6 +39,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 using namespace wdm;
 
@@ -331,6 +334,214 @@ INSTANTIATE_TEST_SUITE_P(
     tierSweepName);
 
 //===----------------------------------------------------------------------===//
+// Superinstructions
+//===----------------------------------------------------------------------===//
+
+/// Branches, fusible read-modify-write triples on the accumulator, and a
+/// call whose callee branches: the constructs both superinstructions
+/// (FusedGRmwD, FusedFCmpBr) are lowered from.
+const char *FusionSubjectIr = R"(
+module "fusionsubject"
+global @w: double = 0.0
+func @helper(%a: double) -> double {
+entry:
+  %c = fcmp.lt %a, 10.0
+  condbr %c, small, big
+small:
+  %r1 = fmul %a, 2.0
+  ret %r1
+big:
+  %r2 = fadd %a, 1.0
+  ret %r2
+}
+func @acc(%x: double, %y: double) -> double {
+entry:
+  %t0 = loadg @w
+  %s0 = fadd %t0, %x
+  storeg @w, %s0
+  %h = call @helper(%x)
+  %c = fcmp.lt %x, %y
+  condbr %c, lo, hi
+lo:
+  %t1 = loadg @w
+  %m1 = fmul %t1, %y
+  storeg @w, %m1
+  br done
+hi:
+  %t2 = loadg @w
+  %m2 = fmin %t2, %h
+  storeg @w, %m2
+  br done
+done:
+  %r = loadg @w
+  ret %r
+}
+)";
+
+unsigned countFused(const vm::CompiledFunction &CF) {
+  unsigned N = 0;
+  for (const vm::Inst &I : CF.Code)
+    N += I.Opc == vm::Op::FusedGRmwD;
+  return N;
+}
+
+TEST(SuperinstructionTest, LoweringFusesTheRmwIdiom) {
+  auto Parsed = ir::parseModule(FusionSubjectIr);
+  ASSERT_TRUE(Parsed.hasValue()) << Parsed.error();
+  ir::Module &M = **Parsed;
+  vm::CompiledModule Fused = vm::compile(M);
+  const vm::CompiledFunction *CF = Fused.lookup(M.functionByName("acc"));
+  ASSERT_NE(CF, nullptr);
+  ASSERT_TRUE(CF->Ok);
+  EXPECT_EQ(countFused(*CF), 3u); // fadd, fmul, fmin triples
+
+  vm::Limits NoFuse;
+  NoFuse.Fuse = false;
+  vm::CompiledModule Plain = vm::compile(M, NoFuse);
+  EXPECT_EQ(countFused(*Plain.lookup(M.functionByName("acc"))), 0u);
+
+  // The boundary pass's Min form emits the idiom too — the
+  // instrumentation this satellite exists for.
+  instr::BoundaryInstrumentation BI = instr::instrumentBoundary(
+      *M.functionByName("helper"), instr::BoundaryForm::Min);
+  vm::CompiledModule Instr = vm::compile(M);
+  EXPECT_GT(countFused(*Instr.lookup(BI.Wrapped)), 0u);
+}
+
+unsigned countFusedCmpBr(const vm::CompiledFunction &CF) {
+  unsigned N = 0;
+  for (const vm::Inst &I : CF.Code)
+    N += I.Opc == vm::Op::FusedFCmpBr;
+  return N;
+}
+
+TEST(SuperinstructionTest, LoweringFusesCompareBranchPairs) {
+  auto Parsed = ir::parseModule(FusionSubjectIr);
+  ASSERT_TRUE(Parsed.hasValue()) << Parsed.error();
+  ir::Module &M = **Parsed;
+  vm::CompiledModule Fused = vm::compile(M);
+  // Each function ends its entry block with `fcmp; condbr` on the
+  // compare's result — exactly the fusible pair.
+  const vm::CompiledFunction *Acc = Fused.lookup(M.functionByName("acc"));
+  const vm::CompiledFunction *Help =
+      Fused.lookup(M.functionByName("helper"));
+  ASSERT_TRUE(Acc && Acc->Ok && Help && Help->Ok);
+  EXPECT_EQ(countFusedCmpBr(*Acc), 1u);
+  EXPECT_EQ(countFusedCmpBr(*Help), 1u);
+
+  vm::Limits NoFuse;
+  NoFuse.Fuse = false;
+  vm::CompiledModule Plain = vm::compile(M, NoFuse);
+  EXPECT_EQ(countFusedCmpBr(*Plain.lookup(M.functionByName("acc"))), 0u);
+  EXPECT_EQ(countFusedCmpBr(*Plain.lookup(M.functionByName("helper"))),
+            0u);
+}
+
+TEST(SuperinstructionTest, FusedCompareBranchKeepsTraceAndAccounting) {
+  // The fused pair must charge exactly two steps (compare, then branch,
+  // each checked at its own virtual boundary) and fire the observer only
+  // once the branch step fits — bit-identical to the unfused pair and
+  // the interpreter at every budget crossing the pair.
+  auto Parsed = ir::parseModule(FusionSubjectIr);
+  ASSERT_TRUE(Parsed.hasValue()) << Parsed.error();
+  ir::Module &M = **Parsed;
+  const ir::Function *Acc = M.functionByName("acc");
+
+  exec::Engine E(M);
+  vm::CompiledModule Fused = vm::compile(M);
+  vm::Limits NoFuse;
+  NoFuse.Fuse = false;
+  vm::CompiledModule Plain = vm::compile(M, NoFuse);
+  ASSERT_GT(countFusedCmpBr(*Fused.lookup(Acc)), 0u);
+  vm::Machine MF(Fused), MP(Plain);
+
+  RNG Rand(0xcb5);
+  for (unsigned K = 0; K < 60; ++K) {
+    std::vector<exec::RTValue> Args = {
+        exec::RTValue::ofDouble(Rand.uniform(-20.0, 20.0)),
+        exec::RTValue::ofDouble(Rand.uniform(-20.0, 20.0))};
+    for (uint64_t MaxSteps : {1ull, 2ull, 3ull, 4ull, 5ull, 6ull, 7ull,
+                              8ull, 9ull, 12ull, 2'000'000ull}) {
+      exec::ExecOptions Opts;
+      Opts.MaxSteps = MaxSteps;
+      exec::ExecContext CI(M), CF2(M), CP(M);
+      instr::BranchTraceObserver OI, OF, OP;
+      CI.setObserver(&OI);
+      CF2.setObserver(&OF);
+      CP.setObserver(&OP);
+      exec::ExecResult RI = E.run(Acc, Args, CI, Opts);
+      exec::ExecResult RF = MF.run(*Fused.lookup(Acc), Args, CF2, Opts);
+      exec::ExecResult RP = MP.run(*Plain.lookup(Acc), Args, CP, Opts);
+      std::string Ctx = "steps " + std::to_string(MaxSteps);
+      EXPECT_EQ(static_cast<int>(RI.Kind), static_cast<int>(RF.Kind))
+          << Ctx;
+      EXPECT_EQ(static_cast<int>(RI.Kind), static_cast<int>(RP.Kind))
+          << Ctx;
+      EXPECT_EQ(RI.Steps, RF.Steps) << Ctx;
+      EXPECT_EQ(RI.Steps, RP.Steps) << Ctx;
+      ASSERT_EQ(OI.visits().size(), OF.visits().size()) << Ctx;
+      ASSERT_EQ(OI.visits().size(), OP.visits().size()) << Ctx;
+      for (size_t V = 0; V < OI.visits().size(); ++V) {
+        EXPECT_EQ(OI.visits()[V].Branch, OF.visits()[V].Branch) << Ctx;
+        EXPECT_EQ(OI.visits()[V].TakenTrue, OF.visits()[V].TakenTrue)
+            << Ctx;
+      }
+    }
+  }
+}
+
+TEST(SuperinstructionTest, FusedMatchesUnfusedAndInterpreterEverywhere) {
+  auto Parsed = ir::parseModule(FusionSubjectIr);
+  ASSERT_TRUE(Parsed.hasValue()) << Parsed.error();
+  ir::Module &M = **Parsed;
+  const ir::Function *Acc = M.functionByName("acc");
+
+  exec::Engine E(M);
+  vm::CompiledModule Fused = vm::compile(M);
+  vm::Limits NoFuse;
+  NoFuse.Fuse = false;
+  vm::CompiledModule Plain = vm::compile(M, NoFuse);
+  vm::Machine MF(Fused), MP(Plain);
+
+  RNG Rand(0xf05e);
+  for (unsigned K = 0; K < 200; ++K) {
+    double X[2] = {Rand.uniform(-20.0, 20.0), Rand.uniform(-20.0, 20.0)};
+    std::vector<exec::RTValue> Args = {exec::RTValue::ofDouble(X[0]),
+                                       exec::RTValue::ofDouble(X[1])};
+    // Sweep tight step budgets across the whole function so the limit
+    // crosses *inside* fused triples too.
+    for (uint64_t MaxSteps : {1ull, 2ull, 3ull, 4ull, 5ull, 7ull, 11ull,
+                              16ull, 2'000'000ull}) {
+      exec::ExecOptions Opts;
+      Opts.MaxSteps = MaxSteps;
+      exec::ExecContext CI(M), CF2(M), CP(M);
+      exec::ExecResult RI = E.run(Acc, Args, CI, Opts);
+      exec::ExecResult RF = MF.run(*Fused.lookup(Acc), Args, CF2, Opts);
+      exec::ExecResult RP = MP.run(*Plain.lookup(Acc), Args, CP, Opts);
+      std::string Ctx = "steps " + std::to_string(MaxSteps) + " input " +
+                        std::to_string(X[0]);
+      EXPECT_EQ(static_cast<int>(RI.Kind), static_cast<int>(RF.Kind))
+          << Ctx;
+      EXPECT_EQ(static_cast<int>(RI.Kind), static_cast<int>(RP.Kind))
+          << Ctx;
+      EXPECT_EQ(RI.Steps, RF.Steps) << Ctx;
+      EXPECT_EQ(RI.Steps, RP.Steps) << Ctx;
+      if (RI.ok()) {
+        EXPECT_EQ(bitsOf(RI.ReturnValue.asDouble()),
+                  bitsOf(RF.ReturnValue.asDouble()))
+            << Ctx;
+        EXPECT_EQ(bitsOf(RI.ReturnValue.asDouble()),
+                  bitsOf(RP.ReturnValue.asDouble()))
+            << Ctx;
+      }
+      EXPECT_EQ(bitsOf(CI.getGlobal(M.globalByName("w")).asDouble()),
+                bitsOf(CF2.getGlobal(M.globalByName("w")).asDouble()))
+          << Ctx;
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Weak-distance and search-level equivalence
 //===----------------------------------------------------------------------===//
 
@@ -378,31 +589,50 @@ TEST(VMEquivalenceTest, WeakDistanceValuesMatchBitForBit) {
   }
 }
 
+/// The paper's basinhopping plus the two population backends (DE and
+/// random search), each run on every tier below.
+std::vector<std::unique_ptr<opt::Optimizer>> searchBackends() {
+  std::vector<std::unique_ptr<opt::Optimizer>> Backends;
+  Backends.push_back(std::make_unique<opt::BasinHopping>());
+  Backends.push_back(std::make_unique<opt::DifferentialEvolution>());
+  Backends.push_back(std::make_unique<opt::RandomSearch>());
+  return Backends;
+}
+
+constexpr vm::EngineKind CompiledTiers[] = {vm::EngineKind::VM,
+                                            vm::EngineKind::JIT};
+
 TEST(VMEquivalenceTest, BoundarySearchIdenticalAcrossEngines) {
-  auto Run = [&](vm::EngineKind Engine) {
+  auto Run = [&](vm::EngineKind Engine, opt::Optimizer &Backend) {
     auto Parsed = ir::parseModule(QuickstartIr);
     EXPECT_TRUE(Parsed.hasValue());
     ir::Module &M = **Parsed;
     analyses::BoundaryAnalysis BVA(M, *M.functionByName("prog"),
                                    instr::BoundaryForm::Product, Engine);
-    opt::BasinHopping Backend;
     core::SearchOptions Opts;
     Opts.Seed = 2019;
     Opts.MaxEvals = 40'000;
     return BVA.findOne(Backend, Opts);
   };
-  core::SearchResult RI = Run(vm::EngineKind::Interp);
-  core::SearchResult RV = Run(vm::EngineKind::VM);
-  EXPECT_EQ(RI.Found, RV.Found);
-  EXPECT_EQ(RI.Witness, RV.Witness);
-  EXPECT_EQ(RI.Evals, RV.Evals);
-  EXPECT_EQ(RI.StartsUsed, RV.StartsUsed);
-  EXPECT_EQ(bitsOf(RI.WStar), bitsOf(RV.WStar));
-  EXPECT_EQ(RI.UnsoundCandidates, RV.UnsoundCandidates);
+  for (const auto &Backend : searchBackends()) {
+    core::SearchResult RI = Run(vm::EngineKind::Interp, *Backend);
+    for (vm::EngineKind Engine : CompiledTiers) {
+      core::SearchResult R = Run(Engine, *Backend);
+      std::string Ctx = std::string(Backend->name()) + " on " +
+                        vm::engineKindName(Engine);
+      EXPECT_EQ(RI.Found, R.Found) << Ctx;
+      EXPECT_EQ(RI.Witness, R.Witness) << Ctx;
+      EXPECT_EQ(RI.Evals, R.Evals) << Ctx;
+      EXPECT_EQ(RI.StartsUsed, R.StartsUsed) << Ctx;
+      EXPECT_EQ(bitsOf(RI.WStar), bitsOf(R.WStar)) << Ctx;
+      EXPECT_EQ(RI.WStarAt, R.WStarAt) << Ctx;
+      EXPECT_EQ(RI.UnsoundCandidates, R.UnsoundCandidates) << Ctx;
+    }
+  }
 }
 
 TEST(VMEquivalenceTest, OverflowRoundsIdenticalAcrossEngines) {
-  auto Run = [&](vm::EngineKind Engine) {
+  auto Run = [&](vm::EngineKind Engine, opt::Optimizer &Backend) {
     ir::Module M;
     gsl::SfFunction Bessel = gsl::buildBesselKnuScaledAsympx(M);
     analyses::OverflowDetector Det(M, *Bessel.F,
@@ -411,16 +641,23 @@ TEST(VMEquivalenceTest, OverflowRoundsIdenticalAcrossEngines) {
     Opts.Seed = 0xbe55;
     Opts.EvalsPerRound = 2'000;
     Opts.MaxRounds = 4;
+    Opts.Backend = &Backend;
     return Det.run(Opts);
   };
-  analyses::OverflowReport RI = Run(vm::EngineKind::Interp);
-  analyses::OverflowReport RV = Run(vm::EngineKind::VM);
-  EXPECT_EQ(RI.Evals, RV.Evals);
-  ASSERT_EQ(RI.Findings.size(), RV.Findings.size());
-  for (size_t K = 0; K < RI.Findings.size(); ++K) {
-    EXPECT_EQ(RI.Findings[K].SiteId, RV.Findings[K].SiteId);
-    EXPECT_EQ(RI.Findings[K].Found, RV.Findings[K].Found);
-    EXPECT_EQ(RI.Findings[K].Input, RV.Findings[K].Input);
+  for (const auto &Backend : searchBackends()) {
+    analyses::OverflowReport RI = Run(vm::EngineKind::Interp, *Backend);
+    for (vm::EngineKind Engine : CompiledTiers) {
+      analyses::OverflowReport R = Run(Engine, *Backend);
+      std::string Ctx = std::string(Backend->name()) + " on " +
+                        vm::engineKindName(Engine);
+      EXPECT_EQ(RI.Evals, R.Evals) << Ctx;
+      ASSERT_EQ(RI.Findings.size(), R.Findings.size()) << Ctx;
+      for (size_t K = 0; K < RI.Findings.size(); ++K) {
+        EXPECT_EQ(RI.Findings[K].SiteId, R.Findings[K].SiteId) << Ctx;
+        EXPECT_EQ(RI.Findings[K].Found, R.Findings[K].Found) << Ctx;
+        EXPECT_EQ(RI.Findings[K].Input, R.Findings[K].Input) << Ctx;
+      }
+    }
   }
 }
 
@@ -515,30 +752,6 @@ TEST(JITEquivalenceTest, WeakDistanceValuesMatchBitForBit) {
     std::vector<double> X = drawInput(Rand, 1);
     EXPECT_EQ(bitsOf(Direct(X)), bitsOf((*Eval)(X))) << X[0];
   }
-}
-
-TEST(JITEquivalenceTest, BatchEvaluationMatchesScalar) {
-  auto Parsed = ir::parseModule(QuickstartIr);
-  ASSERT_TRUE(Parsed.hasValue()) << Parsed.error();
-  ir::Module &M = **Parsed;
-  instr::BoundaryInstrumentation BI =
-      instr::instrumentBoundary(*M.functionByName("prog"));
-  exec::Engine E(M);
-  exec::ExecContext Parent(M);
-  jit::JITWeakDistanceFactory Factory(E, BI.Wrapped, BI.W, BI.WInit,
-                                      Parent);
-  auto Scalar = Factory.make();
-  auto Batched = Factory.make();
-  RNG Rand(0xba7c);
-  constexpr std::size_t K = 24;
-  std::vector<double> Xs(K), Want(K), Got(K);
-  for (std::size_t L = 0; L < K; ++L) {
-    Xs[L] = drawInput(Rand, 1)[0];
-    Want[L] = (*Scalar)({Xs[L]});
-  }
-  Batched->evalBatch(Xs.data(), K, Got.data());
-  for (std::size_t L = 0; L < K; ++L)
-    EXPECT_EQ(bitsOf(Want[L]), bitsOf(Got[L])) << Xs[L];
 }
 
 TEST(JITFactoryTest, LowersTheModuleOnce) {

@@ -92,8 +92,8 @@ int usage() {
          "  --func=<name>              subject function (default: the "
          "module's only one)\n"
          "  --evals=<n> --starts=<n> --seed=<n> --threads=<n>\n"
-         "  --batch=<n>                evaluation block size (0 = auto: "
-         "vm 32, interp 8)\n"
+         "  --batch=<n>                accepted and ignored (kept for old "
+         "scripts)\n"
          "  --backends=<a,b,...>       portfolio by name\n"
          "  --engine=<e>               execution tier: vm (default) | "
          "interp | jit\n"
